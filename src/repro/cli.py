@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -295,7 +296,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     stdout line; EOF (or a ``drain`` op) exits 0.  With ``--tcp
     HOST:PORT``: an asyncio server on that address (port 0 = ephemeral);
     the bound address is announced on stdout as one ``{"serving": ...}``
-    line, and a ``drain`` op shuts the server down gracefully.  In both
+    line, and a ``drain`` op shuts the server down gracefully.  SIGTERM
+    and SIGINT drain the server the same way in either mode.  In both
     modes requests route across ``--shards`` engine shards by consistent
     hash of the query's canonical key, errors are **per line** (a bad
     request never stops the service), and the governance flags set the
@@ -329,9 +331,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
         store_config=store_config,
     )
+    # SIGTERM and SIGINT drain like the ``drain`` op; the finally clause
+    # below then closes the shards, which joins their pool workers.
+    stop_signals = (signal.SIGTERM, signal.SIGINT)
     try:
         if args.tcp is None:
-            return server.serve_stdio()
+            return server.serve_stdio(stop_signals=stop_signals)
         import asyncio
 
         from .serve.protocol import PROTOCOL_VERSION
@@ -354,10 +359,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             sys.stdout.flush()
 
-        try:
-            asyncio.run(server.serve_tcp(host, port, ready=ready))
-        except KeyboardInterrupt:  # pragma: no cover - interactive stop
-            pass
+        asyncio.run(
+            server.serve_tcp(host, port, ready=ready, stop_signals=stop_signals)
+        )
         return 0
     finally:
         server.close()

@@ -15,23 +15,33 @@ the :class:`~repro.governance.BudgetReport`.  Soundness of Theorem 12 is
 preserved by construction — a decision requires a positive witness or a
 completed ``|q2|·2·|q1|``-level prefix, and an exhausted budget provides
 neither, so the checker *refuses to guess* rather than extrapolating.
+
+A fresh result holds the live chase it was decided on
+(:attr:`ContainmentResult.chase_result`).  A result that outlives its
+request — a cached verdict, or one pickled back from a pool worker —
+keeps only the O(|q2|) :class:`Certificate` instead
+(:meth:`ContainmentResult.detached`), so caching verdicts never pins
+chases the chase store has already evicted.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from ..core.atoms import Atom
 from ..core.query import ConjunctiveQuery
 from ..core.substitution import Substitution
+from ..core.terms import Term
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chase.engine import ChaseResult
     from ..governance.budget import BudgetReport
     from ..obs.provenance import ContainmentProvenance
 
-__all__ = ["ContainmentReason", "ContainmentResult", "Decision"]
+__all__ = ["Certificate", "ContainmentReason", "ContainmentResult", "Decision"]
 
 
 class Decision(enum.Enum):
@@ -67,6 +77,44 @@ class ContainmentReason(enum.Enum):
 _UNKNOWN_REASONS = frozenset(
     {ContainmentReason.BUDGET_EXHAUSTED, ContainmentReason.CANCELLED}
 )
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Theorem 13's polynomial certificate of one verdict.
+
+    Everything :meth:`ContainmentResult.verify` reads from the chase: the
+    prefix facts the witness lands on, each with its chase level, the
+    chased head ``head(chase(q1))``, and whether the chase failed.  Its
+    size is O(|q2|) whatever the size of the prefix.
+    """
+
+    #: ``(fact, level)`` for each distinct witness image found in the
+    #: chase; an image the chase does not hold is simply absent.
+    facts: tuple[tuple[Atom, int], ...] = ()
+    head: tuple[Term, ...] = ()
+    failed: bool = False
+
+    @classmethod
+    def from_chase(
+        cls,
+        chase_result: "ChaseResult",
+        witness: Optional[Substitution],
+        q2: ConjunctiveQuery,
+    ) -> "Certificate":
+        """Read the certificate of *witness* off a chase result."""
+        instance = chase_result.instance
+        facts: dict[Atom, int] = {}
+        if instance is not None and witness is not None:
+            for atom in q2.body:
+                image = witness.apply_atom(atom)
+                if image in instance:
+                    facts[image] = instance.level_of(image)
+        return cls(
+            facts=tuple(facts.items()),
+            head=tuple(chase_result.head),
+            failed=chase_result.failed,
+        )
 
 
 @dataclass
@@ -111,6 +159,9 @@ class ContainmentResult:
     #: attached to UNKNOWN results (and occasionally to decided ones
     #: when a governor was active).  ``None`` for ungoverned checks.
     budget_report: Optional["BudgetReport"] = None
+    #: The verdict's evidence once :meth:`detached` has dropped
+    #: :attr:`chase_result`; ``None`` while the result holds its chase.
+    certificate: Optional[Certificate] = None
 
     def __bool__(self) -> bool:
         """Truthiness is ``contained`` — conservatively False for UNKNOWN.
@@ -138,8 +189,9 @@ class ContainmentResult:
         """The structured provenance payload, built on first request.
 
         Returns ``None`` only when no chase evidence is attached (a
-        constraint-free Theorem-4 style result).  The payload is cached on
-        the result, so repeated calls are free.
+        constraint-free Theorem-4 style result, or a :meth:`detached` one
+        whose provenance was never built).  The payload is cached on the
+        result, so repeated calls are free.
         """
         if self.provenance is None:
             from ..obs.provenance import build_provenance
@@ -169,47 +221,61 @@ class ContainmentResult:
             and self.witness_level < self.level_bound
         )
 
+    def detached(self) -> "ContainmentResult":
+        """A copy that keeps the :class:`Certificate`, not the chase.
+
+        The copy has ``chase_result=None`` and carries the certificate
+        read off the chase, so it still passes :meth:`verify` while
+        holding O(|q2|) evidence instead of the whole prefix.  Provenance
+        already built for an explain request is kept.  A result that
+        holds no chase is returned unchanged.
+        """
+        if self.chase_result is None:
+            return self
+        return dataclasses.replace(
+            self, chase_result=None, certificate=self._certificate()
+        )
+
+    def _certificate(self) -> Optional[Certificate]:
+        """The stored certificate, or one derived from the held chase."""
+        if self.certificate is not None or self.chase_result is None:
+            return self.certificate
+        return Certificate.from_chase(self.chase_result, self.witness, self.q2)
+
     def verify(self) -> bool:
         """Re-check this result's certificate in polynomial time.
 
         Theorem 13's NP membership rests on a polynomially checkable
         certificate: the witness homomorphism together with the chase
-        prefix it maps into.  This method re-validates a positive verdict
+        facts it maps onto.  This method re-validates a positive verdict
         from its evidence alone — every body conjunct of ``q2`` must land
-        on a conjunct of the prefix and the head must land on the chased
-        head — without re-running any search.  Negative verdicts and
-        vacuous (chase-failure) verdicts return True when their evidence
-        is shaped correctly; a corrupted result returns False.
+        on a certified fact within the level bound and the head must land
+        on the chased head — without re-running any search.  Negative
+        verdicts and vacuous (chase-failure) verdicts return True when
+        their evidence is shaped correctly; a corrupted result returns
+        False.  Full and :meth:`detached` results verify identically.
         """
-        if self.reason is ContainmentReason.CHASE_FAILURE:
-            return (
-                self.contained
-                and self.chase_result is not None
-                and self.chase_result.failed
-            )
         if self.unknown:
             # An UNKNOWN result must claim nothing: no containment flag,
             # no witness.  (A result carrying a witness but labelled
             # UNKNOWN is corrupted — the witness alone would have decided.)
             return not self.contained and self.witness is None
+        certificate = self._certificate()
+        if self.reason is ContainmentReason.CHASE_FAILURE:
+            return self.contained and certificate is not None and certificate.failed
         if not self.contained:
             return self.witness is None
-        if self.witness is None or self.chase_result is None:
+        if self.witness is None or certificate is None:
             return False
-        instance = self.chase_result.instance
-        if instance is None:
-            return False
+        levels = dict(certificate.facts)
         for atom in self.q2.body:
-            image = self.witness.apply_atom(atom)
-            if image not in instance:
+            level = levels.get(self.witness.apply_atom(atom))
+            if level is None:
                 return False
-            if (
-                self.level_bound is not None
-                and instance.level_of(image) > self.level_bound
-            ):
+            if self.level_bound is not None and level > self.level_bound:
                 return False
         head_image = tuple(self.witness.apply_term(t) for t in self.q2.head)
-        return head_image == tuple(self.chase_result.head)
+        return head_image == certificate.head
 
     def explain(self) -> str:
         """A one-paragraph human-readable justification of the verdict."""

@@ -33,13 +33,17 @@ hot for exactly its slice of the key space.  Admission is layered::
 ``drain`` flips the server into rejection mode (reason ``"draining"``),
 lets every in-flight request finish, then answers ``{"drained": true}``
 — after which the transport shuts down cleanly.  Overload and shutdown
-are therefore always *answers*, never dropped connections.
+are therefore always *answers*, never dropped connections.  ``flq
+serve`` routes SIGTERM and SIGINT into the same drain, and then closes
+every shard, so a signalled server joins its pool workers before it
+exits.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -78,6 +82,10 @@ _WORK_OPS = frozenset({"check", "explain", "check_all", "chase"})
 
 #: Default level bound of the ``chase`` op when the request names none.
 _CHASE_DEFAULT_BOUND = 12
+
+
+class _StopSignal(Exception):
+    """Raised by a stop-signal handler to end a blocked stdio read."""
 
 
 @dataclass
@@ -496,7 +504,11 @@ class ContainmentServer:
     # -- stdio transport -----------------------------------------------------
 
     def serve_stdio(
-        self, stdin: Optional[TextIO] = None, stdout: Optional[TextIO] = None
+        self,
+        stdin: Optional[TextIO] = None,
+        stdout: Optional[TextIO] = None,
+        *,
+        stop_signals: Sequence[int] = (),
     ) -> int:
         """The synchronous newline-JSON loop (the classic ``flq serve``).
 
@@ -504,23 +516,60 @@ class ContainmentServer:
         EOF — or a successful ``drain`` op — ends the session with
         status 0.  A single implicit connection carries the sticky
         tenant id.
+
+        Each of *stop_signals* (the CLI passes SIGTERM and SIGINT; the
+        handlers can only be installed from the main thread) ends the
+        session like a ``drain`` op: the line being executed is still
+        answered, no further line is read, and every shard drains.
         """
         stdin = stdin if stdin is not None else sys.stdin
         stdout = stdout if stdout is not None else sys.stdout
         conn = ConnectionState()
-        for line in stdin:
-            response = self.handle_line(line, conn)
-            if response is None:
-                continue
-            stdout.write(json.dumps(response) + "\n")
-            stdout.flush()
-            if response.get("op") == "drain" and response.get("ok"):
-                break
+        stopping = reading = False
+
+        def on_signal(signum, frame) -> None:
+            nonlocal stopping
+            stopping = True
+            if reading:
+                # Blocked waiting for input: nothing is in flight.
+                raise _StopSignal
+
+        previous = {sig: signal.signal(sig, on_signal) for sig in stop_signals}
+        try:
+            while not stopping:
+                reading = True
+                try:
+                    line = stdin.readline()
+                finally:
+                    reading = False
+                if not line:
+                    break
+                response = self.handle_line(line, conn)
+                if response is None:
+                    continue
+                stdout.write(json.dumps(response) + "\n")
+                stdout.flush()
+                if response.get("op") == "drain" and response.get("ok"):
+                    break
+        except _StopSignal:
+            pass
+        finally:
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
+        if stopping:
+            self._execute_drain()
         return 0
 
     # -- TCP transport -------------------------------------------------------
 
-    async def serve_tcp(self, host: str, port: int, *, ready=None) -> None:
+    async def serve_tcp(
+        self,
+        host: str,
+        port: int,
+        *,
+        ready=None,
+        stop_signals: Sequence[int] = (),
+    ) -> None:
         """Serve newline-JSON over TCP until a ``drain`` op (or cancel).
 
         Listens on ``host:port`` (port ``0`` = ephemeral), then calls
@@ -529,10 +578,23 @@ class ContainmentServer:
         connection may pipeline requests; lines execute concurrently on
         worker threads and responses interleave, correlated by ``id``.
         A successful ``drain`` finishes in-flight lines, closes the
-        listener and every connection, and returns.
+        listener and every connection, and returns.  Each of
+        *stop_signals* (the CLI passes SIGTERM and SIGINT; the loop must
+        run in the main thread) triggers the same drain.
         """
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
+        signal_drain: Optional[asyncio.Task] = None
+
+        async def drain_and_stop() -> None:
+            await loop.run_in_executor(None, self._execute_drain)
+            stop.set()
+
+        def on_signal() -> None:
+            nonlocal signal_drain
+            if signal_drain is None:
+                signal_drain = asyncio.ensure_future(drain_and_stop())
+
         inflight = 0
         writers: set[asyncio.StreamWriter] = set()
         conn_tasks: set[asyncio.Task] = set()
@@ -654,12 +716,16 @@ class ContainmentServer:
             task.add_done_callback(conn_tasks.discard)
 
         server = await asyncio.start_server(on_connection, host, port)
+        for sig in stop_signals:
+            loop.add_signal_handler(sig, on_signal)
         bound = server.sockets[0].getsockname()
         if ready is not None:
             ready(bound[0], bound[1])
         try:
             await stop.wait()
         finally:
+            for sig in stop_signals:
+                loop.remove_signal_handler(sig)
             # Stop (set on drain, or here on cancellation) tells every
             # connection handler to flush its in-flight responses and
             # close itself; only then do we tear the rest down.
@@ -668,6 +734,8 @@ class ContainmentServer:
             await server.wait_closed()
             if conn_tasks:
                 await asyncio.gather(*conn_tasks, return_exceptions=True)
+            if signal_drain is not None:
+                await asyncio.gather(signal_drain, return_exceptions=True)
             for writer in list(writers):
                 writer.close()
             executor.shutdown(wait=True)

@@ -34,8 +34,19 @@ Coalescing extends past the in-flight window: a **decided** verdict
 time") is remembered in a bounded LRU keyed by the same identity, so a
 request identical to a *completed* one is answered without recomputation
 (``service.result_hits``).  This is what makes a repeated ``check_all``
-batch warm even when the first batch ran on the worker pool — the chase
-state lives in the workers' private stores, but the verdicts live here.
+batch warm even when the first batch ran on the worker pool, whose chases
+never reach the parent's store.
+
+The LRU stores verdicts, not chases: each entry is a
+:meth:`~repro.containment.result.ContainmentResult.detached` result, whose
+:class:`~repro.containment.result.Certificate` (the witness images with
+their levels, the chased head, the failed flag) costs O(|q2|) and still
+passes ``verify()``.  Pool workers detach their results before pickling
+them back, too.  Chases therefore stay resident only in the chase store,
+bounded by ``StoreConfig.capacity``.  The leader of a ``check`` (and its
+coalesced followers) still receives the full result with its
+``chase_result``; a cache hit or a pool-decided ``check_all`` element
+carries only the certificate.
 """
 
 from __future__ import annotations
@@ -439,9 +450,15 @@ class ContainmentService:
 
     def _remember(self, key: tuple, result: ContainmentResult) -> None:
         """Cache a decided verdict (UNKNOWN means "ran out of budget this
-        time" and is deliberately never cached)."""
+        time" and is deliberately never cached).
+
+        The entry is the :meth:`~ContainmentResult.detached` result: its
+        O(|q2|) certificate, never the chase, so the cache holds no chase
+        beyond what the store's capacity already admits.
+        """
         if self._result_capacity <= 0 or result.unknown:
             return
+        result = result.detached()
         with self._inflight_lock:
             self._results[key] = result
             self._results.move_to_end(key)

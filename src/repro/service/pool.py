@@ -88,8 +88,10 @@ def check_group_worker(payload: tuple) -> list:
         faults=fault_plan,
         kernel=kernel,
     )
+    # Detached results pickle the O(|q2|) certificate, not the chase.
     return [
-        checker.check(q1, q2, level_bound=bound) for q1, q2, bound in items
+        checker.check(q1, q2, level_bound=bound).detached()
+        for q1, q2, bound in items
     ]
 
 
@@ -144,7 +146,9 @@ def check_group_attached(payload: tuple) -> list:
         )
         _ATTACHED[cache_key] = checker
     return [
-        checker.check(q1, q2, level_bound=bound, anytime=anytime, budget=budget)
+        checker.check(
+            q1, q2, level_bound=bound, anytime=anytime, budget=budget
+        ).detached()
         for q1, q2, bound in items
     ]
 

@@ -1,5 +1,7 @@
 """Unit tests for containment results and certificate verification."""
 
+import dataclasses
+
 import pytest
 
 from repro.containment import (
@@ -8,6 +10,7 @@ from repro.containment import (
     contained_classic,
     is_contained,
 )
+from repro.containment.bounded import ContainmentChecker
 from repro.core.atoms import data, funct, member, sub
 from repro.core.query import ConjunctiveQuery
 from repro.core.substitution import Substitution
@@ -22,12 +25,14 @@ class TestVerify:
             result = is_contained(q1, q2)
             assert result.contained
             assert result.verify()
+            assert result.detached().verify()
 
     def test_negative_results_verify(self, joinable_pair):
         q, qq = joinable_pair
         result = is_contained(qq, q)
         assert not result.contained
         assert result.verify()
+        assert result.detached().verify()
 
     def test_vacuous_results_verify(self):
         q1 = ConjunctiveQuery(
@@ -43,6 +48,7 @@ class TestVerify:
         result = is_contained(q1, q2)
         assert result.reason is ContainmentReason.CHASE_FAILURE
         assert result.verify()
+        assert result.detached().verify()
 
     def test_corrupted_witness_rejected(self, joinable_pair):
         q, qq = joinable_pair
@@ -82,7 +88,54 @@ class TestVerify:
         from repro.workloads import QueryGenerator
 
         q1, q2 = QueryGenerator(seed).containment_pair()
-        assert is_contained(q1, q2).verify()
+        result = is_contained(q1, q2)
+        assert result.verify()
+        assert result.detached().verify()
+
+
+class TestDetached:
+    def test_keeps_certificate_not_chase(self, joinable_pair):
+        q, qq = joinable_pair
+        result = is_contained(q, qq)
+        detached = result.detached()
+        assert detached.chase_result is None
+        assert detached.certificate is not None
+        # Every witness image is certified with its chase level.
+        assert len(detached.certificate.facts) <= len(qq.body)
+        assert result.chase_result is not None  # the original is untouched
+        assert (detached.contained, detached.reason, detached.witness) == (
+            result.contained,
+            result.reason,
+            result.witness,
+        )
+
+    def test_forged_witness_on_detached_result_rejected(self, joinable_pair):
+        q, qq = joinable_pair
+        detached = is_contained(q, qq).detached()
+        bogus = Substitution({v: Constant("nowhere") for v in qq.variables()})
+        assert not dataclasses.replace(detached, witness=bogus).verify()
+
+    def test_witness_beyond_level_bound_rejected(self, mandatory_pair):
+        q, qq = mandatory_pair
+        detached = is_contained(q, qq).detached()
+        deepest = max(level for _, level in detached.certificate.facts)
+        assert deepest >= 1
+        shallow = dataclasses.replace(detached, level_bound=deepest - 1)
+        assert not shallow.verify()
+
+    def test_detaching_twice_returns_the_same_result(self, joinable_pair):
+        q, qq = joinable_pair
+        detached = is_contained(q, qq).detached()
+        assert detached.detached() is detached
+
+    def test_provenance_built_before_detaching_survives(self, joinable_pair):
+        q, qq = joinable_pair
+        result = ContainmentChecker().check(q, qq, explain=True)
+        provenance = result.provenance
+        assert provenance is not None
+        detached = result.detached()
+        assert detached.provenance is provenance
+        assert detached.explain_data() is provenance
 
 
 class TestResultShape:

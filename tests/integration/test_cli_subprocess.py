@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -153,3 +156,99 @@ class TestServe:
         proc = run_cli("serve", stdin="\n\n\n")
         assert proc.returncode == 0
         assert proc.stdout == ""
+
+
+#: Two pairs with distinct q1: one shard gets two chase groups, so the
+#: batch goes to the warm process pool.
+POOL_BATCH = {
+    "id": 1,
+    "op": "check_all",
+    "pairs": [
+        {"q1": Q1_TEXT, "q2": Q2_TEXT},
+        {"q1": "q(A) :- T1[A*=>T2].", "q2": "qq(A) :- T1[A*=>T2], T2::T3."},
+    ],
+}
+
+
+def _children(pid: int) -> set[int]:
+    """Pids of the direct children of *pid*, read from ``/proc``."""
+    kids: set[int] = set()
+    for path in Path(f"/proc/{pid}/task").glob("*/children"):
+        kids.update(int(p) for p in path.read_text().split())
+    return kids
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _assert_gone(pids: set[int], timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and any(_running(p) for p in pids):
+        time.sleep(0.1)
+    assert not [p for p in pids if _running(p)], "orphaned pool workers"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="reads children from /proc"
+)
+class TestServeStopSignal:
+    """SIGTERM drains the server and joins its pool workers on both
+    transports; without it they would outlive the server as orphans."""
+
+    def _serve(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", *args],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+
+    def _stop(self, proc) -> set[int]:
+        """SIGTERM *proc* once its pool is up; return the pool's pids."""
+        workers = _children(proc.pid)
+        assert workers, "the check_all batch should have started the pool"
+        proc.send_signal(signal.SIGTERM)
+        # A signal that killed the server shows as a negative status.
+        assert proc.wait(timeout=60) == 0
+        return workers
+
+    def test_sigterm_on_stdio_joins_pool_workers(self):
+        with self._serve() as proc:
+            try:
+                proc.stdin.write(json.dumps(POOL_BATCH) + "\n")
+                proc.stdin.flush()
+                response = json.loads(proc.stdout.readline())
+                assert response["ok"] is True and response["pairs"] == 2
+                workers = self._stop(proc)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+        _assert_gone(workers)
+
+    def test_sigterm_on_tcp_joins_pool_workers(self):
+        with self._serve("--tcp", "127.0.0.1:0") as proc:
+            try:
+                ready = json.loads(proc.stdout.readline())["serving"]
+                address = (ready["host"], ready["port"])
+                with socket.create_connection(address, timeout=60) as sock:
+                    wire = sock.makefile("rw", encoding="utf-8", newline="\n")
+                    wire.write(json.dumps(POOL_BATCH) + "\n")
+                    wire.flush()
+                    response = json.loads(wire.readline())
+                    assert response["ok"] is True and response["pairs"] == 2
+                    # The connection stays open across the signal.
+                    workers = self._stop(proc)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+        _assert_gone(workers)

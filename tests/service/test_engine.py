@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import threading
 import time
+import weakref
 
 import pytest
 
-from repro.api import Engine
+from repro.api import Engine, StoreConfig
 from repro.core.errors import AdmissionRejected
 from repro.governance import CancelScope, ExecutionBudget
 from repro.obs import MetricsRegistry, Observability, Tracer
@@ -188,6 +190,54 @@ class TestWarmBatches:
         assert [r.contained for r in parallel] == [
             r.contained for r in sequential
         ]
+
+
+class TestResidentChases:
+    """The verdict cache keeps certificates; only the store keeps chases."""
+
+    def test_live_chases_bounded_by_store_capacity(self):
+        capacity = 8
+        instances = []
+        seen = set()
+        seed = 0
+        with Engine(store_config=StoreConfig(capacity=capacity)) as engine:
+            while len(seen) < 64:
+                q1, q2 = QueryGenerator(seed).containment_pair()
+                seed += 1
+                if q1.canonical_key() in seen:
+                    continue
+                seen.add(q1.canonical_key())
+                chase = engine.check(q1, q2).chase_result
+                if chase is not None and chase.instance is not None:
+                    instances.append(weakref.ref(chase.instance))
+            del chase
+            gc.collect()
+            alive = sum(ref() is not None for ref in instances)
+            assert engine.stats()["service"]["decided_cached"] == 64
+        assert len(instances) > capacity
+        assert alive <= capacity
+
+    def test_first_check_holds_the_chase_and_a_cache_hit_the_certificate(
+        self, joinable_pair
+    ):
+        q1, q2 = joinable_pair
+        with Engine() as engine:
+            first = engine.check(q1, q2)
+            again = engine.check(q1, q2)
+            assert engine.service.stats.result_hits == 1
+        assert first.chase_result is not None
+        assert again.chase_result is None and again.certificate is not None
+        assert again.contained and again.verify()
+
+    def test_pool_results_come_back_detached_and_verify(self):
+        with Engine(max_workers=2) as engine:
+            engine.check_all(_corpus(n_groups=2, seed=5))
+            assert engine.service.pool.warm
+            results = engine.check_all(_corpus(n_groups=3, seed=12))
+            assert engine.service.pool.stats.pools_started == 1
+        assert len({r.q1.canonical_key() for r in results}) >= 2
+        assert all(r.chase_result is None for r in results)
+        assert all(r.verify() for r in results)
 
 
 class TestBudgetInheritance:
