@@ -21,7 +21,10 @@ A fresh result holds the live chase it was decided on
 request — a cached verdict, or one pickled back from a pool worker —
 keeps only the O(|q2|) :class:`Certificate` instead
 (:meth:`ContainmentResult.detached`), so caching verdicts never pins
-chases the chase store has already evicted.
+chases the chase store has already evicted.  A cached verdict goes one
+step further: :class:`CanonicalVerdict` states the decision and its
+evidence over canonical variable ordinals, holds no query, and is bound
+back to whichever alpha-equivalent pair asks next.
 """
 
 from __future__ import annotations
@@ -41,7 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..governance.budget import BudgetReport
     from ..obs.provenance import ContainmentProvenance
 
-__all__ = ["Certificate", "ContainmentReason", "ContainmentResult", "Decision"]
+__all__ = [
+    "CanonicalVerdict",
+    "Certificate",
+    "ContainmentReason",
+    "ContainmentResult",
+    "Decision",
+]
 
 
 class Decision(enum.Enum):
@@ -114,6 +123,16 @@ class Certificate:
             facts=tuple(facts.items()),
             head=tuple(chase_result.head),
             failed=chase_result.failed,
+        )
+
+    def renamed(self, renaming: Substitution) -> "Certificate":
+        """This certificate with *renaming* applied to every term."""
+        return Certificate(
+            facts=tuple(
+                (renaming.apply_atom(fact), level) for fact, level in self.facts
+            ),
+            head=tuple(renaming.apply_term(t) for t in self.head),
+            failed=self.failed,
         )
 
 
@@ -229,11 +248,32 @@ class ContainmentResult:
         holding O(|q2|) evidence instead of the whole prefix.  Provenance
         already built for an explain request is kept.  A result that
         holds no chase is returned unchanged.
+
+        The chase may have been started from an alpha-equivalent query
+        with other variable names (the chase store shares one run per
+        canonical key).  The copy's witness and certificate are renamed
+        onto :attr:`q1`'s own variables, so a detached result speaks
+        only of its own queries.
         """
         if self.chase_result is None:
             return self
+        witness, certificate = self.witness, self._certificate()
+        source = self.chase_result.query
+        if (
+            certificate is not None
+            and source.canonical_key() == self.q1.canonical_key()
+            and source.canonical_variables() != self.q1.canonical_variables()
+        ):
+            sigma = Substitution.from_trusted(
+                dict(zip(source.canonical_variables(), self.q1.canonical_variables()))
+            )
+            certificate = certificate.renamed(sigma)
+            if witness is not None:
+                witness = Substitution.from_trusted(
+                    {v: sigma.apply_term(t) for v, t in witness.items()}
+                )
         return dataclasses.replace(
-            self, chase_result=None, certificate=self._certificate()
+            self, chase_result=None, witness=witness, certificate=certificate
         )
 
     def _certificate(self) -> Optional[Certificate]:
@@ -335,4 +375,121 @@ class ContainmentResult:
         return (
             f"ContainmentResult({self.q1.name} ⊆ {self.q2.name}: "
             f"{shown} [{self.reason.value}])"
+        )
+
+
+class CanonicalVerdict:
+    """A decided verdict stated over canonical variable ordinals.
+
+    The form a verdict cache stores: the decision fields of a
+    :class:`ContainmentResult`, plus its witness and :class:`Certificate`
+    with ``q1``'s variables replaced by their
+    :meth:`~repro.core.query.ConjunctiveQuery.canonical_variables`
+    ordinals (ints).  Constants and nulls stay as the interned terms they
+    are.  The witness is one image per ``q2`` ordinal, and each
+    certified fact is a flat ``(predicate, level, *args)`` tuple.  It
+    holds no :class:`~repro.core.query.ConjunctiveQuery` and no chase, so
+    one entry serves every alpha-equivalent pair.  :meth:`bind` rebuilds
+    a result around the caller's own queries, whose ``verify()`` holds
+    exactly when the original's did.  Provenance is kept only when the
+    result carried one (explain requests); its query names are rebound
+    too.
+    """
+
+    __slots__ = (
+        "contained",
+        "reason",
+        "level_bound",
+        "witness_level",
+        "levels_chased",
+        "elapsed_seconds",
+        "chase_outcome",
+        "witness",
+        "facts",
+        "head",
+        "failed",
+        "provenance",
+    )
+
+    def __init__(self, result: ContainmentResult):
+        result = result.detached()
+        ordinal = {v: i for i, v in enumerate(result.q1.canonical_variables())}
+
+        def encode(term):
+            return ordinal.get(term, term)
+
+        self.contained = result.contained
+        self.reason = result.reason
+        self.level_bound = result.level_bound
+        self.witness_level = result.witness_level
+        self.levels_chased = result.levels_chased
+        self.elapsed_seconds = result.elapsed_seconds
+        self.chase_outcome = result.chase_outcome
+        self.witness = (
+            None
+            if result.witness is None
+            else tuple(
+                encode(result.witness.get(v))
+                for v in result.q2.canonical_variables()
+            )
+        )
+        certificate = result.certificate
+        if certificate is None:
+            self.facts = self.head = self.failed = None
+        else:
+            self.facts = tuple(
+                (fact.predicate, level, *map(encode, fact.args))
+                for fact, level in certificate.facts
+            )
+            self.head = tuple(map(encode, certificate.head))
+            self.failed = certificate.failed
+        self.provenance = result.provenance
+
+    def bind(self, q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> ContainmentResult:
+        """The verdict as a result about *q1* and *q2*.
+
+        The pair must have the canonical keys of the pair the verdict was
+        decided for; ordinal ``i`` then names ``q1.canonical_variables()[i]``
+        (and likewise for ``q2``'s witness domain).
+        """
+        names = q1.canonical_variables()
+
+        def decode(term):
+            return names[term] if type(term) is int else term
+
+        witness = None
+        if self.witness is not None:
+            witness = Substitution.from_trusted(
+                {
+                    v: decode(t)
+                    for v, t in zip(q2.canonical_variables(), self.witness)
+                    if t is not None
+                }
+            )
+        certificate = None
+        if self.facts is not None:
+            certificate = Certificate(
+                facts=tuple(
+                    (Atom(fact[0], map(decode, fact[2:])), fact[1])
+                    for fact in self.facts
+                ),
+                head=tuple(map(decode, self.head)),
+                failed=self.failed,
+            )
+        provenance = self.provenance
+        if provenance is not None:
+            provenance = dataclasses.replace(provenance, q1=q1.name, q2=q2.name)
+        return ContainmentResult(
+            q1=q1,
+            q2=q2,
+            contained=self.contained,
+            reason=self.reason,
+            witness=witness,
+            level_bound=self.level_bound,
+            elapsed_seconds=self.elapsed_seconds,
+            chase_outcome=self.chase_outcome,
+            provenance=provenance,
+            witness_level=self.witness_level,
+            levels_chased=self.levels_chased,
+            certificate=certificate,
         )

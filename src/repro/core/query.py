@@ -49,7 +49,7 @@ class ConjunctiveQuery:
         objects yet semantically interchangeable everywhere in the library.
     """
 
-    __slots__ = ("name", "head", "body", "_hash", "_canonical")
+    __slots__ = ("name", "head", "body", "_hash", "_canonical", "_canonical_vars")
 
     def __init__(self, name: str, head: Sequence[Term], body: Iterable[Atom]):
         head = tuple(head)
@@ -76,6 +76,7 @@ class ConjunctiveQuery:
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "_hash", hash((name, head, body)))
         object.__setattr__(self, "_canonical", None)
+        object.__setattr__(self, "_canonical_vars", None)
 
     def __setattr__(self, key, value):  # pragma: no cover - guarded mutation
         raise AttributeError("ConjunctiveQuery is immutable")
@@ -244,8 +245,23 @@ class ConjunctiveQuery:
             for atom in ordered
         )
         key = (head_key, body_key)
+        object.__setattr__(self, "_canonical_vars", tuple(mapping))
         object.__setattr__(self, "_canonical", key)
         return key
+
+    def canonical_variables(self) -> tuple[Variable, ...]:
+        """This query's variables in :meth:`canonical_key` ordinal order.
+
+        Entry ``i`` is the variable the key spells ``("v", i)``.  Two
+        queries with equal keys therefore correspond position by
+        position: pairing their ``canonical_variables()`` is a bijective
+        renaming that carries one onto the other.  Facts stated over
+        ordinals (a cached verdict's witness and certificate) are bound
+        to a concrete query through this tuple.
+        """
+        if self._canonical_vars is None:
+            self.canonical_key()
+        return self._canonical_vars
 
     @property
     def canonical_hash(self) -> int:

@@ -28,6 +28,7 @@ dropped connection or a client-side timeout.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Optional
 
 from ..containment.result import ContainmentResult
@@ -84,8 +85,21 @@ class UnknownOperation(ReproError):
     """
 
 
+#: Rule texts whose parsed query :func:`parse_rule` keeps.  Small on
+#: purpose: a repeated text (a hot key) skips the F-logic parser, while
+#: a stream of all-new texts can hold at most this many queries.
+PARSE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_rule(text: str, default_name: str) -> ConjunctiveQuery:
-    """One conjunctive query from one F-logic rule/query string."""
+    """One conjunctive query from one F-logic rule/query string.
+
+    Parses are memoised per ``(text, default_name)`` in a
+    :data:`PARSE_CACHE_SIZE`-entry LRU; sharing the result is safe
+    because :class:`~repro.core.query.ConjunctiveQuery` is immutable.  A
+    text that fails to parse raises every time and is never cached.
+    """
     program = parse_program(text)
     rules = list(program.rules())
     if rules:

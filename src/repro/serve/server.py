@@ -196,6 +196,9 @@ class ContainmentServer:
         #: can have its full admission queue busy, plus one slot of slack
         #: so rejection comes from the front door, not thread starvation.
         self.inflight_cap = shards * (max_active + max_pending)
+        #: Worker threads of the TCP transport: one per execution slot.
+        #: Admitted lines beyond them wait as queued executor work.
+        self.worker_threads = shards * max_active
         self._draining = False
         self._drained = threading.Event()
         self._lock = threading.Lock()
@@ -598,11 +601,13 @@ class ContainmentServer:
         inflight = 0
         writers: set[asyncio.StreamWriter] = set()
         conn_tasks: set[asyncio.Task] = set()
-        # A dedicated executor sized to the admission cap: every line the
-        # front door admits gets a real thread, so blocking in a shard's
-        # AdmissionQueue never starves an unrelated connection.
+        # A dedicated executor with one thread per execution slot.  The
+        # front door's inflight cap still decides queue-full; lines between
+        # the two limits wait in the executor's queue, not as threads
+        # parked in a shard's AdmissionQueue, so a release never has more
+        # than a few threads to hand the GIL to.
         executor = ThreadPoolExecutor(
-            max_workers=max(4, self.inflight_cap),
+            max_workers=self.worker_threads,
             thread_name_prefix="flq-serve",
         )
 

@@ -37,16 +37,20 @@ request identical to a *completed* one is answered without recomputation
 batch warm even when the first batch ran on the worker pool, whose chases
 never reach the parent's store.
 
-The LRU stores verdicts, not chases: each entry is a
-:meth:`~repro.containment.result.ContainmentResult.detached` result, whose
-:class:`~repro.containment.result.Certificate` (the witness images with
-their levels, the chased head, the failed flag) costs O(|q2|) and still
-passes ``verify()``.  Pool workers detach their results before pickling
-them back, too.  Chases therefore stay resident only in the chase store,
-bounded by ``StoreConfig.capacity``.  The leader of a ``check`` (and its
-coalesced followers) still receives the full result with its
-``chase_result``; a cache hit or a pool-decided ``check_all`` element
-carries only the certificate.
+The LRU stores verdicts, not chases, and no request's objects either.
+Its key spells both queries' canonical forms as one compact byte string
+(exact, never a hash).  Its value is a
+:class:`~repro.containment.result.CanonicalVerdict`: the decision fields
+plus the witness and :class:`~repro.containment.result.Certificate` over
+canonical variable ordinals — about 1 KB per entry.  A hit binds that
+verdict to the *caller's* ``q1``/``q2``, so the result names the caller's
+queries and variables and passes ``verify()`` for them.  Pool workers
+detach their results before pickling them back, too.  Chases therefore
+stay resident only in the chase store, bounded by
+``StoreConfig.capacity``.  The leader of a ``check`` (and its coalesced
+followers) still receives the full result with its ``chase_result``; a
+cache hit or a pool-decided ``check_all`` element carries only the
+certificate.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ..containment.bounded import ContainmentChecker
-from ..containment.result import ContainmentResult
+from ..containment.result import CanonicalVerdict, ContainmentResult
 from ..containment.store import ChaseStore
 from ..core.atoms import Atom
 from ..core.query import ConjunctiveQuery
@@ -186,7 +190,7 @@ class ContainmentService:
         self._inflight: dict[tuple, Future] = {}
         self._inflight_lock = threading.Lock()
         self._result_capacity = config.result_cache
-        self._results: OrderedDict[tuple, ContainmentResult] = OrderedDict()
+        self._results: OrderedDict[tuple, CanonicalVerdict] = OrderedDict()
         self._closed = False
 
     # -- state ---------------------------------------------------------------
@@ -263,7 +267,7 @@ class ContainmentService:
         key = self._request_key(
             q1, q2, level_bound, schema_t, explain, anytime, effective
         )
-        cached = self._recall(key)
+        cached = self._recall(key, q1, q2, schema_t)
         if cached is not None:
             with self.obs.tracer.span(
                 "service.check", q1=q1.name, q2=q2.name, cached=True
@@ -327,7 +331,8 @@ class ContainmentService:
             for q1, q2 in pairs
         ]
         results: list[Optional[ContainmentResult]] = [
-            self._recall(key) for key in keys
+            self._recall(key, q1, q2, schema_t)
+            for key, (q1, q2) in zip(keys, pairs)
         ]
         cold = [i for i, cached in enumerate(results) if cached is None]
         with self.queue.admit(op="check_all"):
@@ -426,10 +431,12 @@ class ContainmentService:
         Two requests with equal keys are the same question asked the same
         way — canonical query keys (names and variable spellings don't
         matter), resolved schedule, bound, schema and effective budget.
+        The two canonical keys travel as one compact byte string
+        (:func:`_pair_key_bytes`), so a cached entry does not keep their
+        nested tuples alive.
         """
         return (
-            q1.canonical_key(),
-            q2.canonical_key(),
+            _pair_key_bytes(q1, q2),
             level_bound,
             schema_t,
             explain,
@@ -437,30 +444,41 @@ class ContainmentService:
             budget,
         )
 
-    def _recall(self, key: tuple) -> Optional[ContainmentResult]:
-        """A previously decided verdict for *key*, or ``None``."""
+    def _recall(
+        self,
+        key: tuple,
+        q1: ConjunctiveQuery,
+        q2: ConjunctiveQuery,
+        schema_t: Optional[tuple[Atom, ...]],
+    ) -> Optional[ContainmentResult]:
+        """The decided verdict for *key* bound to the caller's pair, or ``None``.
+
+        The result names *q1* (with *schema_t* conjoined, as a computed
+        result would) and *q2*, and its witness and certificate are
+        spelled in their variables.
+        """
         with self._inflight_lock:
-            result = self._results.get(key)
-            if result is None:
+            verdict = self._results.get(key)
+            if verdict is None:
                 return None
             self._results.move_to_end(key)
         self.stats.result_hits += 1
         self._count("service.result_hits")
-        return result
+        return verdict.bind(self.checker._apply_schema(q1, schema_t), q2)
 
     def _remember(self, key: tuple, result: ContainmentResult) -> None:
         """Cache a decided verdict (UNKNOWN means "ran out of budget this
         time" and is deliberately never cached).
 
-        The entry is the :meth:`~ContainmentResult.detached` result: its
-        O(|q2|) certificate, never the chase, so the cache holds no chase
-        beyond what the store's capacity already admits.
+        The entry is the result's :class:`CanonicalVerdict`: O(|q2|)
+        evidence over canonical ordinals, never the chase and never the
+        request's query objects.
         """
         if self._result_capacity <= 0 or result.unknown:
             return
-        result = result.detached()
+        verdict = CanonicalVerdict(result)
         with self._inflight_lock:
-            self._results[key] = result
+            self._results[key] = verdict
             self._results.move_to_end(key)
             while len(self._results) > self._result_capacity:
                 self._results.popitem(last=False)
@@ -503,3 +521,32 @@ class ContainmentService:
             f"ContainmentService({state}, queue={self.queue!r}, "
             f"pool={self.pool!r})"
         )
+
+
+def _pair_key_bytes(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bytes:
+    """Both canonical keys as one exact, compact byte string.
+
+    Each query is written as its head terms followed by ``|``-led atoms;
+    ``#`` separates the two queries.  A variable is ``v<ordinal>``, a null
+    ``n<index>``, and a constant or predicate name is length-prefixed
+    (``c<len>:<name>``, ``|<len>:<name>``), so any name round-trips and the
+    encoding is injective: equal bytes mean equal canonical keys.
+    """
+    parts: list[str] = []
+    for query in (q1, q2):
+        if parts:
+            parts.append("#")
+        head, body = query.canonical_key()
+        _encode_terms(head, parts)
+        for predicate, args in body:
+            parts.append(f"|{len(predicate)}:{predicate}")
+            _encode_terms(args, parts)
+    return "".join(parts).encode()
+
+
+def _encode_terms(terms: tuple, parts: list[str]) -> None:
+    for kind, value in terms:
+        if kind == "c":
+            parts.append(f"c{len(value)}:{value}")
+        else:
+            parts.append(f"{kind}{value}")

@@ -5,7 +5,8 @@ queues turn overload into latency collapse.  :class:`AdmissionQueue`
 implements the service layer's admission discipline:
 
 * at most ``max_active`` requests execute at once (the concurrency
-  gate); excess admitted requests wait their turn;
+  gate); excess admitted requests wait their turn, and each release wakes
+  exactly one of them;
 * at most ``max_pending`` requests may be *waiting*; a request arriving
   beyond that is rejected immediately with
   :class:`~repro.core.errors.AdmissionRejected` — explicit back-pressure
@@ -129,6 +130,11 @@ class AdmissionQueue:
                 try:
                     while self._active >= self.max_active and not self._closed:
                         self._cond.wait()
+                except BaseException:
+                    # A waiter interrupted after it was woken must pass
+                    # its wake-up on, or a free slot could sit unclaimed.
+                    self._cond.notify()
+                    raise
                 finally:
                     self._pending -= 1
                     self._gauge("service.queue_depth", self._pending)
@@ -144,7 +150,14 @@ class AdmissionQueue:
             with self._cond:
                 self._active -= 1
                 self._gauge("service.active", self._active)
-                self._cond.notify_all()
+                # One release frees one slot, so it wakes one waiter:
+                # waking all of them would hand the GIL to each just to
+                # park all but one again.  A closed queue wakes everybody
+                # (its drain() waits on this condition too).
+                if self._closed:
+                    self._cond.notify_all()
+                else:
+                    self._cond.notify()
 
     # -- shutdown ------------------------------------------------------------
 

@@ -11,6 +11,7 @@ from repro.containment import (
     is_contained,
 )
 from repro.containment.bounded import ContainmentChecker
+from repro.containment.result import CanonicalVerdict
 from repro.core.atoms import data, funct, member, sub
 from repro.core.query import ConjunctiveQuery
 from repro.core.substitution import Substitution
@@ -136,6 +137,89 @@ class TestDetached:
         detached = result.detached()
         assert detached.provenance is provenance
         assert detached.explain_data() is provenance
+
+
+def _renamed(query, name):
+    """*query* under another name with every variable renamed."""
+    sigma = Substitution({v: Variable(f"R_{v.name}") for v in query.variables()})
+    return ConjunctiveQuery(name, query.apply(sigma).head, query.apply(sigma).body)
+
+
+def _vacuous_pair():
+    q1 = ConjunctiveQuery(
+        "q1",
+        (),
+        (data(O, A, Constant("x")), data(O, A, Constant("y")), funct(A, O)),
+    )
+    return q1, ConjunctiveQuery("q2", (), (sub(O, C),))
+
+
+class TestDetachedRenaming:
+    def test_shared_chase_evidence_renamed_onto_own_q1(self, mandatory_pair):
+        q, qq = mandatory_pair
+        variant = _renamed(q, "variant")
+        checker = ContainmentChecker()
+        checker.check(q, qq)
+        result = checker.check(variant, qq)
+        # The store served variant's check from q's chase...
+        assert result.chase_result.query is q
+        detached = result.detached()
+        # ...but the detached evidence speaks of variant's variables.
+        images = {t for _, t in detached.witness.items() if isinstance(t, Variable)}
+        assert images and images <= variant.variables()
+        assert detached.certificate.head == variant.head
+        assert detached.verify()
+        assert result.verify()
+
+
+class TestCanonicalVerdict:
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_round_trip_to_the_same_pair(self, joinable_pair, mandatory_pair, flip):
+        for q1, q2 in (joinable_pair, mandatory_pair):
+            if flip:
+                q1, q2 = q2, q1
+            result = is_contained(q1, q2)
+            bound = CanonicalVerdict(result).bind(q1, q2)
+            detached = result.detached()
+            assert (bound.contained, bound.reason, bound.witness) == (
+                detached.contained,
+                detached.reason,
+                detached.witness,
+            )
+            assert bound.certificate == detached.certificate
+            assert bound.verify()
+
+    def test_vacuous_verdict_binds_and_verifies(self):
+        q1, q2 = _vacuous_pair()
+        result = is_contained(q1, q2)
+        bound = CanonicalVerdict(result).bind(_renamed(q1, "p1"), _renamed(q2, "p2"))
+        assert bound.reason is ContainmentReason.CHASE_FAILURE
+        assert bound.certificate.failed
+        assert bound.verify()
+
+    def test_holds_no_query_or_chase(self, mandatory_pair):
+        q, qq = mandatory_pair
+        verdict = CanonicalVerdict(is_contained(q, qq))
+        held = [getattr(verdict, slot) for slot in CanonicalVerdict.__slots__]
+        flat = set()
+        stack = list(held)
+        while stack:
+            item = stack.pop()
+            if isinstance(item, tuple):
+                stack.extend(item)
+            else:
+                flat.add(type(item))
+        assert ConjunctiveQuery not in flat
+        assert Variable not in flat
+        assert all(not isinstance(item, ContainmentResult) for item in held)
+
+    def test_bound_variant_rejects_forged_witness(self, mandatory_pair):
+        q, qq = mandatory_pair
+        verdict = CanonicalVerdict(is_contained(q, qq))
+        bound = verdict.bind(_renamed(q, "p1"), _renamed(qq, "p2"))
+        assert bound.verify()
+        bogus = Substitution({v: Constant("nowhere") for v in bound.q2.variables()})
+        assert not dataclasses.replace(bound, witness=bogus).verify()
 
 
 class TestResultShape:

@@ -68,3 +68,26 @@ class TestCanonicalKey:
         q1 = q("q1", (O, C), (member(O, D), sub(D, C)))
         q2 = q("q2", (X, Y), (sub(Z, Y), member(X, Z)))
         assert q1.canonical_hash == q2.canonical_hash
+
+
+class TestCanonicalVariables:
+    def test_ordinal_order_matches_the_key(self):
+        query = q("q1", (C,), (sub(D, C), member(O, D)))
+        # Head first, then the signature-sorted body: member < sub.
+        assert query.canonical_variables() == (C, O, D)
+
+    def test_pairing_renames_one_variant_onto_the_other(self):
+        from repro.core.substitution import Substitution
+
+        q1 = q("q1", (O, C), (member(O, D), sub(D, C), type_(C, A, T)))
+        q2 = q("q2", (X, Y), (sub(Z, Y), type_(Y, W, V), member(X, Z)))
+        renaming = Substitution(
+            dict(zip(q1.canonical_variables(), q2.canonical_variables()))
+        )
+        assert set(q1.apply(renaming).body) == set(q2.body)
+        assert q1.apply(renaming).head == q2.head
+
+    def test_available_before_the_key_is_asked_for(self):
+        query = q("q1", (O,), (member(O, book),))
+        assert query.canonical_variables() == (O,)
+        assert query.canonical_key() == ((("v", 0),), (("member", (("v", 0), ("c", "book"))),))

@@ -14,7 +14,8 @@ from repro.serve import (
     TenantPolicy,
     TenantRegistry,
 )
-from repro.serve.protocol import parse_rule
+from repro.core.errors import ReproError
+from repro.serve.protocol import PARSE_CACHE_SIZE, parse_rule
 
 Q1_TEXT = "q(A,B) :- T1[A*=>T2], T2::T3, T3[B*=>_]."
 Q2_TEXT = "qq(A,B) :- T1[A*=>T2], T2[B*=>_]."
@@ -178,6 +179,39 @@ class TestHandleLine:
             with ContainmentServer(shards=4) as server:
                 shards.append(serve(line, server)["shard"])
         assert shards[0] == shards[1]
+
+
+class TestParseOnce:
+    def test_repeated_text_returns_the_parsed_query(self):
+        first = parse_rule(Q1_TEXT, "q1")
+        assert parse_rule(Q1_TEXT, "q1") is first
+        # The default name is part of the key: it names `?-` queries.
+        asked = "?- X:person."
+        assert parse_rule(asked, "q1").name == "q1"
+        assert parse_rule(asked, "q2").name == "q2"
+
+    def test_cache_is_bounded(self):
+        assert PARSE_CACHE_SIZE <= 256
+        for i in range(PARSE_CACHE_SIZE + 10):
+            parse_rule(f"q(X) :- X:c{i}.", "q1")
+        info = parse_rule.cache_info()
+        assert info.maxsize == PARSE_CACHE_SIZE
+        assert info.currsize <= PARSE_CACHE_SIZE
+
+    def test_failed_parse_is_not_cached(self):
+        parse_rule.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ReproError):
+                parse_rule("no rule here", "q1")
+        assert parse_rule.cache_info().currsize == 0
+
+    def test_executor_has_one_thread_per_execution_slot(self):
+        server = ContainmentServer(shards=3, max_active=2, max_pending=5)
+        try:
+            assert server.worker_threads == 6
+            assert server.inflight_cap == 21
+        finally:
+            server.close()
 
 
 class TestDrain:

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import multiprocessing
 import threading
 import time
+import tracemalloc
 import weakref
 
 import pytest
 
 from repro.api import Engine, StoreConfig
 from repro.core.errors import AdmissionRejected
+from repro.core.query import ConjunctiveQuery
+from repro.core.substitution import Substitution
+from repro.core.terms import Constant, Variable
 from repro.governance import CancelScope, ExecutionBudget
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.workloads import QueryGenerator
@@ -238,6 +243,117 @@ class TestResidentChases:
         assert len({r.q1.canonical_key() for r in results}) >= 2
         assert all(r.chase_result is None for r in results)
         assert all(r.verify() for r in results)
+
+
+def _alpha_variant(query: ConjunctiveQuery, name: str) -> ConjunctiveQuery:
+    """*query* under another name with every variable renamed."""
+    renaming = Substitution(
+        {v: Variable(f"{name.upper()}_{v.name}") for v in query.variables()}
+    )
+    return ConjunctiveQuery(name, query.apply(renaming).head, query.apply(renaming).body)
+
+
+class TestVerdictCache:
+    """Cache entries are request-independent and bound to each caller."""
+
+    def test_cached_verdict_retains_at_most_2kb(self):
+        # Pairs are generated while tracing, as a server parses them per
+        # request, so whatever an entry keeps of them is counted.
+        tracemalloc.start()
+        try:
+            gen = QueryGenerator(7)
+            pairs, seen = [], set()
+            while len(pairs) < 500:
+                q1, q2 = gen.containment_pair()
+                key = hash((q1.canonical_key(), q2.canonical_key()))
+                if key not in seen:
+                    seen.add(key)
+                    pairs.append((q1, q2))
+            del q1, q2
+            with Engine(store_config=StoreConfig(capacity=8)) as engine:
+                for q1, q2 in pairs:
+                    engine.check(q1, q2)
+                del q1, q2
+                pairs.clear()
+                gc.collect()
+                results = engine.service._results
+                entries = len(results)
+                held = tracemalloc.get_traced_memory()[0]
+                results.clear()
+                gc.collect()
+                per_entry = (held - tracemalloc.get_traced_memory()[0]) / entries
+        finally:
+            tracemalloc.stop()
+        assert entries == 500
+        assert per_entry <= 2048, f"{per_entry:.0f} bytes per cached verdict"
+
+    def test_pair_key_is_exact(self, joinable_pair):
+        from repro.core.atoms import member
+        from repro.service.engine import _pair_key_bytes
+
+        q1, q2 = joinable_pair
+        assert _pair_key_bytes(q1, q2) == _pair_key_bytes(
+            _alpha_variant(q1, "a"), _alpha_variant(q2, "b")
+        )
+        assert _pair_key_bytes(q1, q2) != _pair_key_bytes(q2, q1)
+        # Length prefixes keep separator characters inside names apart.
+        x = Variable("X")
+        tricky = [
+            ConjunctiveQuery("q", (x,), (member(x, Constant(name)),))
+            for name in ("a#v0", "a", "c1:a")
+        ]
+        keys = {_pair_key_bytes(a, b) for a in tricky for b in tricky}
+        assert len(keys) == len(tricky) ** 2
+
+    def test_alpha_variant_hit_is_bound_to_the_callers_queries(self, mandatory_pair):
+        q1, q2 = mandatory_pair
+        v1, v2 = _alpha_variant(q1, "mine"), _alpha_variant(q2, "theirs")
+        with Engine() as engine:
+            first = engine.check(q1, q2)
+            hit = engine.check(v1, v2)
+            assert engine.service.stats.result_hits == 1
+        assert first.contained and hit.contained
+        assert hit.q1 is v1 and hit.q2 is v2
+        assert hit.chase_result is None
+        assert set(hit.witness.domain()) == v2.variables()
+        assert v1.variables() & {t for _, t in hit.witness.items()}
+        assert hit.verify()
+        assert hit.witness_level == first.witness_level
+        assert hit.levels_chased == first.levels_chased
+        bogus = Substitution({v: Constant("nowhere") for v in v2.variables()})
+        assert not dataclasses.replace(hit, witness=bogus).verify()
+
+    def test_explain_hit_rebinds_provenance_names(self, joinable_pair):
+        q1, q2 = joinable_pair
+        v1, v2 = _alpha_variant(q1, "mine"), _alpha_variant(q2, "theirs")
+        with Engine() as engine:
+            first = engine.explain(q1, q2)
+            hit = engine.explain(v1, v2)
+            assert engine.service.stats.result_hits == 1
+        assert hit.provenance is not None
+        assert (hit.provenance.q1, hit.provenance.q2) == ("mine", "theirs")
+        assert hit.provenance.witness_levels == first.provenance.witness_levels
+
+    def test_check_all_hits_are_bound_per_pair(self, mandatory_pair):
+        q1, q2 = mandatory_pair
+        variants = [(_alpha_variant(q1, f"a{i}"), _alpha_variant(q2, f"b{i}")) for i in range(3)]
+        with Engine() as engine:
+            engine.check(q1, q2)
+            results = engine.check_all(variants, parallel=False)
+            assert engine.service.stats.result_hits == 3
+        for (v1, v2), result in zip(variants, results):
+            assert result.q1 is v1 and result.q2 is v2
+            assert result.contained and result.verify()
+
+    def test_unknown_is_never_cached(self, joinable_pair):
+        q1, q2 = joinable_pair
+        with Engine(budget=ExecutionBudget(deadline_seconds=0.0)) as engine:
+            assert engine.check(q1, q2).unknown
+            assert engine.check(q1, q2).unknown
+            assert all(r.unknown for r in engine.check_all([(q1, q2)], parallel=False))
+            stats = engine.stats()["service"]
+        assert stats["decided_cached"] == 0
+        assert stats["result_hits"] == 0
 
 
 class TestBudgetInheritance:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -55,6 +56,125 @@ class TestAdmission:
         assert sorted(seen) == list(range(6))
         assert queue.stats.peak_active == 2
         assert queue.stats.peak_pending == 4
+
+
+class _CountingCondition(threading.Condition):
+    """A condition that counts the waiters each notification wakes."""
+
+    woken = 0
+
+    def notify(self, n=1):
+        # notify_all() is notify(len(waiters)) in CPython, so both land here.
+        self.woken += min(n, len(self._waiters))
+        super().notify(n)
+
+
+class TestWakeups:
+    def test_one_release_wakes_one_waiter(self):
+        waiters = 6
+        queue = AdmissionQueue(max_active=1, max_pending=waiters)
+        cond = queue._cond = _CountingCondition()
+        entered = threading.Semaphore(0)
+        leave = threading.Semaphore(0)
+
+        def work():
+            with queue.admit():
+                entered.release()
+                assert leave.acquire(timeout=30)
+
+        def parked_reaches(count):
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                with cond:
+                    if len(cond._waiters) == count:
+                        return True
+                time.sleep(0.005)
+            return False
+
+        threads = [threading.Thread(target=work) for _ in range(waiters + 1)]
+        threads[0].start()
+        assert entered.acquire(timeout=10)
+        for t in threads[1:]:
+            t.start()
+        assert parked_reaches(waiters)
+        wakeups = []
+        for remaining in range(waiters - 1, -1, -1):
+            before = cond.woken
+            leave.release()  # the slot holder leaves: one slot frees
+            assert entered.acquire(timeout=10)  # and one waiter takes it
+            # Every other waiter is parked again before the next release.
+            assert parked_reaches(remaining)
+            wakeups.append(cond.woken - before)
+        leave.release()
+        for t in threads:
+            t.join(timeout=30)
+        assert wakeups == [1] * waiters
+        assert queue.stats.admitted == waiters + 1
+
+    def test_no_lost_wakeups_under_contention(self):
+        # More threads than slots and cores, short GIL slices: a release
+        # whose single wake-up went missing would strand a waiter.
+        queue = AdmissionQueue(max_active=2, max_pending=16)
+        done = []
+        lock = threading.Lock()
+        running = [0]
+        overlap = []
+
+        def work():
+            for _ in range(200):
+                with queue.admit():
+                    with lock:
+                        running[0] += 1
+                        overlap.append(running[0])
+                    with lock:
+                        running[0] -= 1
+            done.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(12)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(done) == 12
+        assert max(overlap) <= 2
+        assert queue.stats.admitted == 12 * 200
+        assert queue.active == 0 and queue.depth == 0
+
+    def test_close_still_wakes_every_waiter(self):
+        queue = AdmissionQueue(max_active=1, max_pending=4)
+        cond = queue._cond = _CountingCondition()
+        rejected = []
+        parked = threading.Event()
+
+        def wait_for_slot():
+            try:
+                with queue.admit():
+                    pass
+            except AdmissionRejected as exc:
+                rejected.append(exc.reason)
+
+        with queue.admit():
+            threads = [threading.Thread(target=wait_for_slot) for _ in range(4)]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 10
+            while not parked.is_set() and time.monotonic() < deadline:
+                with cond:
+                    if len(cond._waiters) == 4:
+                        parked.set()
+                time.sleep(0.005)
+            assert parked.is_set()
+            queue.close()
+            for t in threads:
+                t.join(timeout=30)
+        assert rejected == ["draining"] * 4
+        assert cond.woken >= 4
 
 
 class TestRejection:
