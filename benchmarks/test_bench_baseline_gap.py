@@ -4,7 +4,7 @@ Times both deciders on the same pair, and regenerates the corpus-wide
 verdict table showing the containments only the paper's machinery finds.
 """
 
-from repro.containment import ContainmentChecker, contained_classic
+from repro import ContainmentChecker, contained_classic
 from repro.workloads import INTRO_JOINABLE_Q, INTRO_JOINABLE_QQ
 
 

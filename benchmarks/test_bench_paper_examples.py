@@ -5,7 +5,7 @@ rewrite, then benchmarks the containment decision itself.
 """
 
 from repro.chase.engine import chase
-from repro.containment import ContainmentChecker, contained_classic
+from repro import ContainmentChecker, contained_classic
 from repro.core.terms import Variable
 from repro.workloads import (
     EXAMPLE1_QUERY,

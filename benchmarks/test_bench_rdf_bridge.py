@@ -1,6 +1,6 @@
 """E12 — BGP containment through the RDF bridge."""
 
-from repro.containment import ContainmentChecker
+from repro import ContainmentChecker
 from repro.experiments.e12_rdf_bridge import bridge_pairs
 from repro.rdf import encode_bgp
 

@@ -1,6 +1,6 @@
 """E8 — Theorem 12: verdict stability when the level bound is inflated."""
 
-from repro.containment import ContainmentChecker, theorem12_bound
+from repro import ContainmentChecker, theorem12_bound
 from repro.workloads import EXAMPLE2_QUERY, INTRO_JOINABLE_Q, INTRO_JOINABLE_QQ
 
 

@@ -7,7 +7,7 @@ the pytest-benchmark table; the E9 experiment report adds the per-phase
 
 import pytest
 
-from repro.containment import ContainmentChecker
+from repro import ContainmentChecker
 from repro.workloads import QueryGenParams, QueryGenerator
 
 

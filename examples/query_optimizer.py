@@ -10,7 +10,7 @@ removed, shrinking the join the query engine has to execute.  Classic
 below exists only because of a specific rho rule.
 """
 
-from repro.containment import minimize_query
+from repro import minimize_query
 from repro.flogic import KnowledgeBase, encode_rule, parse_statement
 
 CASES = [

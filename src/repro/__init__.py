@@ -35,8 +35,6 @@ from .chase import (
     ChaseResult,
     chase,
 )
-# Concrete submodule imports (not the repro.containment package surface,
-# which is a deprecation shim since the repro.api redesign).
 from .containment.bounded import ContainmentChecker, is_contained, theorem12_bound
 from .containment.classic import contained_classic
 from .containment.minimize import MinimizationResult, minimize_query

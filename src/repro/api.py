@@ -36,7 +36,7 @@ from .dependencies.dependency import Dependency
 from .governance import CancelScope, ExecutionBudget
 from .obs import Observability
 from .service.engine import ContainmentService
-from .store import StoreConfig, resolve_store_config
+from .store import StoreConfig
 
 __all__ = ["Engine", "StoreConfig"]
 
@@ -76,10 +76,6 @@ class Engine:
         the database zero-pickle, and the serve layer's shards share one
         warm store directory.  Ignored for the chase tier when an
         explicit *store* is given.
-    result_cache, store_capacity:
-        **Deprecated** — the scattered pre-``StoreConfig`` knobs.  Still
-        honoured (each overrides the matching config field) with a
-        ``DeprecationWarning``; migrate per ``docs/api.md``.
     obs:
         :class:`~repro.obs.Observability` sink for spans and metrics of
         every layer (store, pool, queue, service).
@@ -104,19 +100,9 @@ class Engine:
         max_pending: int = 64,
         max_workers: Optional[int] = None,
         store_config: Optional[StoreConfig] = None,
-        result_cache: Optional[int] = None,
-        store_capacity: Optional[int] = None,
         obs: Optional[Observability] = None,
         kernel: str = "auto",
     ):
-        # Resolve the legacy kwargs here so the DeprecationWarning points
-        # at the Engine(...) call site, then hand the service one config.
-        config = resolve_store_config(
-            store_config,
-            store_capacity=store_capacity,
-            result_cache=result_cache,
-            owner="Engine",
-        )
         self._service = ContainmentService(
             dependencies,
             reorder_join=reorder_join,
@@ -127,7 +113,7 @@ class Engine:
             max_active=max_active,
             max_pending=max_pending,
             max_workers=max_workers,
-            store_config=config,
+            store_config=store_config,
             obs=obs,
             kernel=kernel,
         )

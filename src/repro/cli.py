@@ -309,8 +309,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     obs = _make_obs(args)
     budget = _budget_from_args(args)
-    # The flags build one StoreConfig directly (the redesigned storage
-    # API) — no legacy kwargs, no deprecation warnings from the CLI.
     defaults = StoreConfig()
     store_config = StoreConfig(
         capacity=(

@@ -1,68 +1,8 @@
 """Query containment: the paper's bounded-chase procedure and the baseline.
 
-.. deprecated::
-    Importing the public names from ``repro.containment`` is deprecated
-    since the :mod:`repro.api` redesign.  Get the stable surface from
-    :class:`repro.api.Engine` / :mod:`repro` (``from repro import
-    is_contained, ContainmentResult, ...``); internal code imports the
-    concrete submodules (:mod:`~repro.containment.bounded`,
-    :mod:`~repro.containment.result`, ...) directly.  The old names keep
-    working through the PEP 562 shim below, with a
-    :class:`DeprecationWarning`.
+The package itself defines no names.  The public surface is exported by
+:mod:`repro` (``from repro import is_contained, ContainmentResult, ...``)
+and by the :class:`repro.api.Engine` facade; code inside the library
+imports the concrete submodules (:mod:`~repro.containment.bounded`,
+:mod:`~repro.containment.result`, ...) directly.
 """
-
-from __future__ import annotations
-
-import warnings
-
-__all__ = [
-    "is_contained",
-    "ContainmentChecker",
-    "theorem12_bound",
-    "contained_classic",
-    "ContainmentResult",
-    "ContainmentReason",
-    "Decision",
-    "minimize_query",
-    "MinimizationResult",
-    "ChaseStore",
-    "StoreStats",
-]
-
-#: Shimmed name -> submodule that really defines it.
-_HOMES = {
-    "is_contained": "bounded",
-    "ContainmentChecker": "bounded",
-    "theorem12_bound": "bounded",
-    "contained_classic": "classic",
-    "minimize_query": "minimize",
-    "MinimizationResult": "minimize",
-    "ContainmentResult": "result",
-    "ContainmentReason": "result",
-    "Decision": "result",
-    "ChaseStore": "store",
-    "StoreStats": "store",
-}
-
-
-def __getattr__(name: str):
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name!r} from 'repro.containment' is deprecated; "
-        f"use 'repro' (from repro import {name}) or the repro.api.Engine "
-        "facade instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from importlib import import_module
-
-    value = getattr(import_module(f".{home}", __name__), name)
-    # Cache it so the warning fires once per name per process.
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -7,19 +7,21 @@ it suffices to examine the first
 
     ``|q2| * delta``  levels, where  ``delta = 2 * |q1|``.
 
-The bound is a worst case, and on realistic corpora positive witnesses
-almost always embed within the first chase levels.  The checker therefore
-runs an **anytime** schedule by default: the resumable
-:class:`~repro.chase.engine.ChaseRun` is driven level by level through an
-initial exact window, then in geometrically growing strides, and after
-each extension a *delta-restricted* homomorphism search
-(:mod:`repro.homomorphism.incremental`) explores only embeddings that
+Every decision runs one probe loop over a resumable
+:class:`~repro.chase.engine.ChaseRun`: chase to the next probe level,
+search for a witness, stop at a witness or at the bound.  The probe
+schedule is the only thing the two modes change.  Theorem 12's own
+procedure, ``anytime=False`` (the CLI's ``--no-anytime``), is the
+one-probe schedule ``[bound]`` with one full search.  The default
+**anytime** schedule probes an initial exact window of levels, then
+geometrically growing strides, and after each extension runs a
+*delta-restricted* homomorphism search
+(:mod:`repro.homomorphism.incremental`) over only the embeddings that
 touch the newly added conjuncts.  A witness at any level is sound (hom
 existence is monotone in the prefix — see ``docs/paper_mapping.md``,
 "Anytime early termination"), so positive decisions exit at the witness
 level; only negative decisions materialise the whole Theorem-12 prefix.
-``anytime=False`` (or the CLI's ``--no-anytime``) restores the monolithic
-chase-then-search order; both modes decide exactly the same relation.
+Both schedules decide exactly the same relation.
 
 Chase work is shared through a :class:`~repro.containment.store.ChaseStore`
 session: chases are keyed on the query's canonical (alpha-invariant) form
@@ -34,7 +36,7 @@ them across a process pool with deterministic, input-order results.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..chase.engine import ChaseResult, ChaseRun
 from ..core.atoms import Atom
@@ -49,23 +51,16 @@ from ..homomorphism.incremental import find_homomorphism_delta
 from ..homomorphism.search import SearchStats, find_homomorphism
 from ..kernel.telemetry import KernelTelemetry
 from ..obs import Observability
-from ..service.pool import (
-    POOL_MAX_RETRIES,
-    POOL_RETRY_BACKOFF,
-    POOL_TIMEOUT_GRACE,
-    WorkerPool,
-)
+from ..service.pool import POOL_TIMEOUT_GRACE, WorkerPool
 from ..service.pool import check_group_attached as _check_group_attached
 from ..service.pool import check_group_worker as _check_group_worker
 from .result import ContainmentReason, ContainmentResult
-from .store import OUTCOME_HIT, ChaseStore
+from .store import ChaseStore
 
 __all__ = ["theorem12_bound", "is_contained", "ContainmentChecker"]
 
-# Pool lifecycle lives in repro.service.pool since the service layer was
-# introduced; the constants above and the two group workers stay bound
-# here (and are read through this module's globals at dispatch time) so
-# existing callers — and tests monkeypatching them — keep working.
+# The pool timeout grace and the two group workers are read through this
+# module's globals at dispatch time, so tests can monkeypatch them here.
 
 #: Levels the anytime schedule probes one by one before switching to
 #: geometrically growing strides.  Witnesses cluster at the first chase
@@ -97,6 +92,28 @@ def theorem12_bound(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> int:
     return q2.size * 2 * q1.size
 
 
+def probe_levels(bound: int, anytime: bool) -> Iterator[int]:
+    """The chase levels a decision probes, ending at *bound*.
+
+    ``anytime=False`` is Theorem 12's one-probe schedule ``[bound]``.
+    ``anytime=True`` probes levels ``0 .. ANYTIME_EXACT_WINDOW - 1`` one
+    by one, then strides growing by :data:`ANYTIME_STRIDE_FACTOR`, capped
+    at *bound*.
+    """
+    if not anytime:
+        yield bound
+        return
+    level = 0
+    stride = 1
+    while True:
+        yield level
+        if level >= bound:
+            return
+        if level + 1 >= ANYTIME_EXACT_WINDOW:
+            stride *= ANYTIME_STRIDE_FACTOR
+        level = min(level + stride, bound)
+
+
 class ContainmentChecker:
     """Reusable checker: fixed dependency set, per-call query pairs.
 
@@ -117,12 +134,11 @@ class ContainmentChecker:
         to share the chase pool; by default the checker owns a private
         store configured from the other parameters.
     anytime:
-        Default decision schedule.  ``True`` (the default) interleaves
+        Default probe schedule.  ``True`` (the default) interleaves
         chase extension with delta-restricted witness search and exits
-        positives at the witness level; ``False`` chases to the full
-        bound first and runs one monolithic search.  Either way the
-        decided relation is identical; :meth:`check` takes a per-call
-        override.
+        positives at the witness level; ``False`` probes once, at the
+        full bound, with one full search.  Either way the decided
+        relation is identical; :meth:`check` takes a per-call override.
     obs:
         Observability sink: every :meth:`check` opens a
         ``containment.check`` span, each witness search a nested
@@ -209,31 +225,8 @@ class ContainmentChecker:
         failed) is reused directly, and a prefix computed at a *smaller*
         bound is incrementally extended, never re-chased.
         """
-        result, _, _ = self._chase_for(query, level_bound)
-        return result
-
-    def _chase_for(
-        self,
-        query: ConjunctiveQuery,
-        level_bound: Optional[int],
-        governor: Optional[Governor] = None,
-    ) -> tuple[ChaseResult, str, float]:
-        """Chase to *level_bound*; also report the fresh chase seconds.
-
-        The third component is the wall-clock this particular request
-        spent extending the (possibly shared) run — zero on a pure cache
-        hit.  Callers attribute it to the decision that triggered it, so
-        per-result timings no longer silently exclude shared chase cost.
-
-        Runs inside a :meth:`ChaseStore.session`, so concurrent requests
-        for the same canonical query serialise on one run — the second
-        arrival finds the first one's prefix as a cache hit.
-        """
-        with self.store.session(query, level_bound) as (run, outcome):
-            before = run.elapsed_seconds
-            if outcome is not OUTCOME_HIT:
-                run.extend_to(level_bound, governor=governor)
-            return run.result(), outcome, run.elapsed_seconds - before
+        run, _ = self.store.run_for(query, level_bound)
+        return run.result()
 
     # -- decision ------------------------------------------------------------
 
@@ -258,7 +251,7 @@ class ContainmentChecker:
         *anytime* overrides the checker-level schedule for this call:
         ``True`` interleaves chase and delta search (positives exit at the
         witness level, recorded as ``result.witness_level``), ``False``
-        forces the monolithic chase-then-search order.
+        probes once, at the full bound.
 
         *budget* (defaulting to the checker-level budget) and *scope*
         govern the call: when the budget runs out or the scope is
@@ -299,47 +292,46 @@ class ContainmentChecker:
         q1: ConjunctiveQuery,
         q2: ConjunctiveQuery,
         bound: int,
-        use_anytime: bool,
+        anytime: bool,
         *,
         explain: bool = False,
         budget: Optional[ExecutionBudget] = None,
         scope: Optional[CancelScope] = None,
+        chase_to: int = 0,
     ) -> ContainmentResult:
         """One prepared (schema-applied, bound-resolved) decision.
 
-        The single funnel both :meth:`check` and the governed batch paths
-        go through: opens the ``containment.check`` span, builds the
-        governor (``None`` when the call is ungoverned — the legacy
-        zero-overhead path), and converts
+        The single funnel every decision goes through: opens the
+        ``containment.check`` span, builds the governor (``None`` when the
+        call is ungoverned — the zero-overhead path), runs the probe loop
+        of :func:`probe_levels` ``(bound, anytime)`` inside ``q1``'s
+        store session, and converts
         :class:`~repro.core.errors.ExecutionInterrupted` into an UNKNOWN
         result.
+
+        *chase_to* asks the first chase extension to reach at least that
+        level, while the witness search still sees only the first *bound*
+        levels.  A monolithic batch group uses it to chase once, to its
+        largest bound, on its first pair.
+
+        The session coalesces concurrent same-key checks onto one chase
+        extension (the waiter resumes against the materialised prefix),
+        and the run cannot be evicted mid-decision.
         """
         tracer = self.obs.tracer
         governor = self._make_governor(budget, scope)
         with tracer.span(
-            "containment.check", q1=q1.name, q2=q2.name, anytime=use_anytime
+            "containment.check", q1=q1.name, q2=q2.name, anytime=anytime
         ) as span:
             start = time.perf_counter()
             try:
-                if use_anytime:
-                    result = self._decide_anytime(
-                        q1, q2, bound, start, explain=explain, governor=governor
+                with self.store.session(q1, max(bound, chase_to)) as (run, outcome):
+                    result = self._probe(
+                        q1, q2, bound, anytime, run, outcome, start,
+                        governor=governor, chase_to=chase_to,
                     )
-                else:
-                    chase_result, outcome, chase_seconds = self._chase_for(
-                        q1, bound, governor
-                    )
-                    result = self._decide(
-                        q1,
-                        q2,
-                        bound,
-                        chase_result,
-                        outcome,
-                        start,
-                        shared_chase_seconds=chase_seconds,
-                        explain=explain,
-                        governor=governor,
-                    )
+                    if explain:
+                        result.explain_data()
             except ExecutionInterrupted as exc:
                 result = self._unknown_result(q1, q2, bound, start, exc, governor)
             if tracer.enabled:
@@ -351,6 +343,150 @@ class ContainmentChecker:
                     witness_level=result.witness_level,
                 )
         return result
+
+    def _probe(
+        self,
+        q1: ConjunctiveQuery,
+        q2: ConjunctiveQuery,
+        bound: int,
+        anytime: bool,
+        run: ChaseRun,
+        outcome: str,
+        start: float,
+        *,
+        governor: Optional[Governor],
+        chase_to: int,
+    ) -> ContainmentResult:
+        """The probe loop proper — the caller holds ``q1``'s session.
+
+        The loop invariant after probing level ``k``: every embedding of
+        ``body(q2)`` into the current level-``k`` prefix satisfying the
+        head condition has been explored.  The first probe runs a full
+        search.  Later probes search only the delta since the previous
+        probe: levels already materialised by a cached run contribute
+        their per-level atom sets, freshly chased levels their
+        :attr:`~repro.chase.engine.ChaseRun.segment_deltas` (which also
+        carry EGD-rewritten lower-level conjuncts).  A segment that
+        rewrote the chased head invalidates earlier seeds, and a delta
+        that is a bulk share of the prefix
+        (:data:`ANYTIME_DELTA_MAX_SHARE`) is cheaper to search in full;
+        both probes fall back to one full search.
+        """
+        metrics = self.obs.metrics
+        tracer = self.obs.tracer
+        if metrics is not None:
+            metrics.counter("containment.checks").inc()
+        chase_before = run.elapsed_seconds
+        search_stats = self._make_search_stats(tracer, metrics)
+        witness = None
+        first_search = True
+        prev_level = -1
+        for level in probe_levels(bound, anytime):
+            if governor is not None:
+                governor.poll("containment.probe", facts=len(run.instance))
+            target = max(level, chase_to)
+            extended_from = None
+            if not run.covers(target):
+                extended_from = len(run.segment_deltas)
+                run.extend_to(target, governor=governor)
+            if run.failed:
+                return self._failure_result(
+                    q1, q2, bound, run, outcome, start,
+                    run.elapsed_seconds - chase_before,
+                )
+            instance = run.instance
+            delta: Optional[list[Atom]] = None  # None = full search
+            if not first_search:
+                if extended_from is None:
+                    delta = [
+                        atom
+                        for lvl in range(prev_level + 1, level + 1)
+                        for atom in instance.atoms_at_level(lvl)
+                    ]
+                elif not any(run.segment_head_rewrites[extended_from:]):
+                    delta = [
+                        atom
+                        for segment in run.segment_deltas[extended_from:]
+                        for atom in segment
+                    ]
+                if delta and len(delta) * ANYTIME_DELTA_MAX_SHARE > len(instance):
+                    delta = None
+            first_search = False
+            prefix = (
+                instance.up_to_level(level)
+                if instance.max_level() > level
+                else instance.index
+            )
+            # An empty delta adds no embeddings: skip the search entirely.
+            if delta is None or delta:
+                with tracer.span(
+                    "hom.search", source=q2.name, target=q1.name, level=level
+                ) as span:
+                    if delta is None:
+                        witness = find_homomorphism(
+                            q2,
+                            prefix,
+                            head_target=instance.head,
+                            reorder=self.reorder_join,
+                            stats=search_stats,
+                            governor=governor,
+                            kernel=self.kernel,
+                        )
+                    else:
+                        witness = find_homomorphism_delta(
+                            q2,
+                            prefix,
+                            delta,
+                            head_target=instance.head,
+                            reorder=self.reorder_join,
+                            stats=search_stats,
+                            governor=governor,
+                            kernel=self.kernel,
+                        )
+                    if tracer.enabled and search_stats is not None:
+                        span.set(
+                            found=witness is not None,
+                            delta=delta is not None,
+                            delta_size=len(delta or ()),
+                        )
+                if metrics is not None:
+                    metrics.counter("hom.searches").inc()
+                    if delta is not None:
+                        metrics.counter("hom.delta_searches").inc()
+            if witness is not None:
+                break
+            if (run.saturated or run.covers(bound)) and level >= instance.max_level():
+                # Nothing above this level exists or ever will: the
+                # remaining bound levels are vacuously searched.
+                break
+            prev_level = level
+        if metrics is not None and search_stats is not None:
+            metrics.counter("hom.nodes_expanded").inc(search_stats.nodes)
+            metrics.counter("hom.backtracks").inc(search_stats.backtracks)
+        self._publish_kernel_stats(search_stats, metrics)
+        chase_result = run.result()
+        if witness is not None and level < bound and metrics is not None:
+            metrics.counter("containment.early_exit").inc()
+        return ContainmentResult(
+            q1=q1,
+            q2=q2,
+            contained=witness is not None,
+            reason=(
+                ContainmentReason.HOMOMORPHISM
+                if witness is not None
+                else ContainmentReason.NO_HOMOMORPHISM
+            ),
+            witness=witness,
+            chase_result=chase_result,
+            level_bound=bound,
+            elapsed_seconds=time.perf_counter() - start,
+            chase_outcome=outcome,
+            witness_level=level if anytime and witness is not None else None,
+            levels_chased=(
+                level if anytime else min(level, chase_result.level_reached)
+            ),
+            shared_chase_seconds=run.elapsed_seconds - chase_before,
+        )
 
     def _make_governor(
         self,
@@ -423,27 +559,28 @@ class ContainmentChecker:
     ) -> list[ContainmentResult]:
         """Decide many ``q1 ⊆ q2`` pairs, chasing each distinct ``q1`` once.
 
-        The batch pipeline groups pairs by the canonical form of ``q1``.
-        In monolithic mode (``anytime=False``) each group's query is
-        chased a single time to the *maximum* bound any of its pairs
-        needs, and every ``q2`` is answered against a level view of that
-        one prefix.  In anytime mode (the default) no up-front group
-        chase happens: every pair drives the group's shared session only
-        as far as its own witness needs, so a group whose pairs all exit
-        early never pays for the full bound.
+        The batch pipeline groups pairs by the canonical form of ``q1``
+        and decides each pair through the same funnel as :meth:`check`,
+        so consecutive pairs of a group share one stored chase session.
+        In monolithic mode (``anytime=False``) the group's first pair
+        chases to the *maximum* bound any of its pairs needs, and every
+        later pair searches a level view of that one prefix.  In anytime
+        mode (the default) every pair drives the session only as far as
+        its own witness needs, so a group whose pairs all exit early
+        never pays for the full bound.
 
         ``parallel=True`` farms the (independent) chase groups across a
         ``concurrent.futures`` process pool — *max_workers* caps the pool
         size.  Results are returned in input order and are verdict-wise
         identical to the sequential path; when worker processes cannot be
-        created (or die), the batch silently falls back to sequential
-        execution.  With a memory-only store, workers own private stores,
-        so the parent store's counters and cached runs are not updated by
-        a parallel batch, and worker-side spans/metrics are not forwarded
-        to this checker's observability sink.  When the parent store has a
-        persistent tier (:mod:`repro.store`), the batch instead **flushes**
-        the parent's runs and ships only the database path: each worker
-        attaches read-only once per pool lifetime and hydrates exactly the
+        created, the batch runs in-process.  With a memory-only store,
+        workers own private stores, so the parent store's counters and
+        cached runs are not updated by a parallel batch, and worker-side
+        spans/metrics are not forwarded to this checker's observability
+        sink.  When the parent store has a persistent tier
+        (:mod:`repro.store`), the batch instead **flushes** the parent's
+        runs and ships only the database path: each worker attaches
+        read-only once per pool lifetime and hydrates exactly the
         prefixes its groups need — no chase state is ever pickled across
         the pipe (see :func:`~repro.service.pool.check_group_attached`).
 
@@ -451,11 +588,10 @@ class ContainmentChecker:
         budget): exhausted pairs come back UNKNOWN, and in parallel mode
         the budget ships to the workers for **worker-side** enforcement
         while the parent adds a per-group timeout.  A group whose worker
-        crashes or wedges is retried once (with backoff) and then falls
-        back to in-parent sequential execution — input-order slots are
-        preserved in every case.  *worker_faults* ships a fault plan to
-        the workers (test-only; the in-parent fallback deliberately runs
-        without it).
+        crashes, breaks the pool or wedges falls back to in-parent
+        execution — input-order slots are preserved in every case.
+        *worker_faults* ships a fault plan to the workers (test-only; the
+        in-parent fallback deliberately runs without it).
 
         *pool* injects a :class:`~repro.service.pool.WorkerPool` whose
         workers persist across batches (the service layer's warm pool):
@@ -479,81 +615,15 @@ class ContainmentChecker:
         for i, (q1, _, _) in enumerate(prepared):
             groups.setdefault(q1.canonical_key(), []).append(i)
 
-        results: list[Optional[ContainmentResult]] = None
+        results: list[Optional[ContainmentResult]] = [None] * len(prepared)
         if (parallel or pool is not None) and len(groups) > 1:
-            results = self._check_all_parallel(
+            self._check_all_parallel(
                 prepared, groups, use_anytime, max_workers, budget,
-                worker_faults, pool,
+                worker_faults, pool, results,
             )
-        if results is None:
-            results = [None] * len(prepared)
-            tracer = self.obs.tracer
-            governed = (
-                budget is not None
-                or self.fault_injector is not None
-            )
+        else:
             for indexes in groups.values():
-                if governed:
-                    # Every governed pair goes through the single funnel:
-                    # per-pair governor, UNKNOWN degradation.  The store
-                    # still shares the group's chase session between
-                    # consecutive pairs.
-                    for i in indexes:
-                        q1, q2, bound = prepared[i]
-                        results[i] = self._checked(
-                            q1, q2, bound, use_anytime, budget=budget
-                        )
-                    continue
-                if use_anytime:
-                    # No up-front group chase: consecutive pairs share the
-                    # stored session and extend it only on demand.
-                    for i in indexes:
-                        q1, q2, bound = prepared[i]
-                        with tracer.span(
-                            "containment.check", q1=q1.name, q2=q2.name, batch=True
-                        ) as span:
-                            start = time.perf_counter()
-                            results[i] = self._decide_anytime(q1, q2, bound, start)
-                            if tracer.enabled:
-                                span.set(
-                                    contained=results[i].contained,
-                                    reason=results[i].reason.value,
-                                    bound=bound,
-                                    witness_level=results[i].witness_level,
-                                )
-                    continue
-                max_bound = max(prepared[i][2] for i in indexes)
-                representative = prepared[indexes[0]][0]
-                chase_result, outcome, chase_seconds = self._chase_for(
-                    representative, max_bound
-                )
-                for i in indexes:
-                    q1, q2, bound = prepared[i]
-                    with tracer.span(
-                        "containment.check", q1=q1.name, q2=q2.name, batch=True
-                    ) as span:
-                        start = time.perf_counter()
-                        # The group's shared chase bill goes to the first
-                        # decision (the one that triggered it); the rest
-                        # record zero, so summing shared_chase_seconds over
-                        # the batch counts each chase second exactly once.
-                        results[i] = self._decide(
-                            q1,
-                            q2,
-                            bound,
-                            chase_result,
-                            outcome,
-                            start,
-                            shared_chase_seconds=(
-                                chase_seconds if i == indexes[0] else 0.0
-                            ),
-                        )
-                        if tracer.enabled:
-                            span.set(
-                                contained=results[i].contained,
-                                reason=results[i].reason.value,
-                                bound=bound,
-                            )
+                self._check_group(prepared, indexes, use_anytime, budget, results)
         missing = [i for i, r in enumerate(results) if r is None]
         if missing:
             raise AssertionError(
@@ -562,23 +632,43 @@ class ContainmentChecker:
             )
         return results
 
+    def _check_group(
+        self,
+        prepared: list[tuple[ConjunctiveQuery, ConjunctiveQuery, int]],
+        indexes: list[int],
+        anytime: bool,
+        budget: Optional[ExecutionBudget],
+        results: list[Optional[ContainmentResult]],
+    ) -> None:
+        """Decide one ``q1`` group in-process into its *results* slots.
+
+        Under the monolithic schedule the first pair chases the group's
+        run to the group's largest bound, so the group's chase is billed
+        to that pair alone and every later pair is a cache hit.
+        """
+        chase_to = 0 if anytime else max(prepared[i][2] for i in indexes)
+        for i in indexes:
+            q1, q2, bound = prepared[i]
+            results[i] = self._checked(
+                q1, q2, bound, anytime, budget=budget, chase_to=chase_to
+            )
+            chase_to = 0
+
     def _check_all_parallel(
         self,
         prepared: list[tuple[ConjunctiveQuery, ConjunctiveQuery, int]],
         groups: dict[tuple, list[int]],
         anytime: bool,
         max_workers: Optional[int],
-        budget: Optional[ExecutionBudget] = None,
-        worker_faults: Optional[Sequence[Fault]] = None,
-        pool: Optional[WorkerPool] = None,
-    ) -> Optional[list[Optional[ContainmentResult]]]:
-        """Fan chase groups out to a process pool; ``None`` = fall back.
+        budget: Optional[ExecutionBudget],
+        worker_faults: Optional[Sequence[Fault]],
+        pool: Optional[WorkerPool],
+        results: list[Optional[ContainmentResult]],
+    ) -> None:
+        """Fan chase groups out to a process pool, filling *results*.
 
         Each group is one task (its pairs share a worker-local chase), so
         parallelism scales with the number of *distinct* ``q1`` queries.
-        Returns ``None`` when the pool cannot be created or breaks
-        outright — the caller then runs the ordinary sequential path, so
-        ``parallel=True`` degrades gracefully on restricted platforms.
 
         **Warm-group routing** — a group whose chase the parent store
         already covers (a repeat batch, or pairs decided earlier through
@@ -593,77 +683,59 @@ class ContainmentChecker:
         broken or wedged executor is handed back via
         :meth:`~repro.service.pool.WorkerPool.recycle` so the *next*
         batch gets fresh workers.  Without *pool*, a cold ephemeral
-        executor is created and torn down per call (the legacy path).
+        executor is created and torn down per call.
 
-        Per-group resilience (three layers, outermost last):
-
-        1. the shipped *budget* is enforced **inside** the worker, so a
-           deadline-bounded group returns UNKNOWN results instead of
-           running long;
-        2. a group whose worker raises is resubmitted up to
-           :data:`POOL_MAX_RETRIES` times with linear backoff — a crashed
-           worker process is replaced by the pool and transient failures
-           heal;
-        3. a group still failing — or exceeding the parent-side timeout
-           derived from the deadline (``deadline · pairs · 2`` plus
-           grace), meaning the worker is wedged — is re-decided in-parent
-           sequentially (without *worker_faults*), so every input slot is
-           filled exactly once, in order, no matter what the pool did.
+        **Resilience** — the shipped *budget* is enforced **inside** the
+        worker, so a deadline-bounded group returns UNKNOWN results
+        instead of running long.  Each group gets one attempt: a group
+        whose worker raises, breaks the pool, or exceeds the parent-side
+        timeout derived from the deadline (``deadline · pairs · 2`` plus
+        grace, meaning the worker is wedged) is decided in-parent instead
+        (without *worker_faults*), so every input slot is filled exactly
+        once, in order, no matter what the pool did.  When no executor
+        can be created at all, every group is decided in-parent.
         """
-        results: list[Optional[ContainmentResult]] = [None] * len(prepared)
         metrics = self.obs.metrics
 
         # Split warm groups (parent store already covers the chase) from
         # cold ones; warm groups are decided here, without dispatch.
         cold_groups: list[list[int]] = []
-        warm_groups = 0
         for indexes in groups.values():
             q1 = prepared[indexes[0]][0]
-            max_bound = max(prepared[i][2] for i in indexes)
-            if self.store.covers(q1, max_bound):
-                warm_groups += 1
-                for i in indexes:
-                    q1, q2, bound = prepared[i]
-                    results[i] = self._checked(q1, q2, bound, anytime, budget=budget)
+            if self.store.covers(q1, max(prepared[i][2] for i in indexes)):
+                self._check_group(prepared, indexes, anytime, budget, results)
             else:
                 cold_groups.append(indexes)
+        warm_groups = len(groups) - len(cold_groups)
         if metrics is not None and warm_groups:
             metrics.counter("containment.pool_warm_groups").inc(warm_groups)
         if not cold_groups:
-            if metrics is not None:
-                metrics.counter("containment.checks").inc(len(prepared))
-            return results
-
-        try:
-            from concurrent.futures import TimeoutError as FuturesTimeout
-            from concurrent.futures.process import BrokenProcessPool
-        except ImportError:
-            return None
+            return
         if pool is not None:
             executor = pool.acquire()
-            if executor is None:
-                return None
         else:
             try:
                 from concurrent.futures import ProcessPoolExecutor
 
                 executor = ProcessPoolExecutor(max_workers=max_workers)
-            except (
-                ImportError,
-                NotImplementedError,
-                OSError,
-                ValueError,
-                PermissionError,
-            ):
-                return None
+            except (ImportError, NotImplementedError, OSError, ValueError):
+                executor = None
+        if executor is None:
+            for indexes in cold_groups:
+                self._check_group(prepared, indexes, anytime, budget, results)
+            return
+
+        from concurrent.futures import TimeoutError as FuturesTimeout
+        from concurrent.futures.process import BrokenProcessPool
+
         attach_path = self.store.snapshot_path
         if attach_path is not None and worker_faults is None:
             # Zero-pickle dispatch: flush the in-memory runs so workers can
             # hydrate them from disk, then ship only the database *path* —
             # workers attach read-only and cache the attached checker for
             # the pool's lifetime (see ``check_group_attached``).  Fault
-            # plans stay on the legacy pickled-payload worker so the
-            # attached per-process cache stays deterministic.
+            # plans stay on the pickled-payload worker so the attached
+            # per-process cache stays deterministic.
             self.store.flush()
             worker_fn = _check_group_attached
             payload_head = (
@@ -687,95 +759,69 @@ class ContainmentChecker:
                 self.kernel,
             )
         deadline = budget.deadline_seconds if budget is not None else None
-        retries = 0
         fallback_groups = 0
-        timed_out = False
+        worker_pairs = 0
+        broken = timed_out = False
         if pool is not None:
             pool.stats.tasks_submitted += len(cold_groups)
         try:
-            futures = {
-                executor.submit(
-                    worker_fn,
-                    payload_head + ([prepared[i] for i in indexes],),
-                ): indexes
-                for indexes in cold_groups
-            }
-            for future, indexes in futures.items():
-                payload = payload_head + ([prepared[i] for i in indexes],)
-                timeout = (
-                    None
-                    if deadline is None
-                    else deadline * len(indexes) * 2 + POOL_TIMEOUT_GRACE
-                )
-                group_results: Optional[list[ContainmentResult]] = None
-                try:
-                    group_results = future.result(timeout=timeout)
-                # FuturesTimeout must be caught before OSError: on
-                # Python >= 3.11 it *is* the builtin TimeoutError, an
-                # OSError subclass.
-                except FuturesTimeout:
-                    # The worker ignored its own deadline: it is wedged,
-                    # and its pool slot is gone.  No retry — straight to
-                    # the in-parent fallback.
-                    timed_out = True
-                except (BrokenProcessPool, OSError):
-                    raise
-                except Exception:
-                    attempt = 0
-                    while group_results is None and attempt < POOL_MAX_RETRIES:
-                        attempt += 1
-                        retries += 1
-                        time.sleep(POOL_RETRY_BACKOFF * attempt)
-                        try:
-                            group_results = executor.submit(
-                                worker_fn, payload
-                            ).result(timeout=timeout)
-                        except FuturesTimeout:
-                            # A retry that wedges is as wedged as a
-                            # first attempt: abandon the slot.
-                            timed_out = True
-                            break
-                        except (BrokenProcessPool, OSError):
-                            raise
-                        except Exception:
-                            group_results = None
+            try:
+                futures = [
+                    executor.submit(
+                        worker_fn, payload_head + ([prepared[i] for i in indexes],)
+                    )
+                    for indexes in cold_groups
+                ]
+            except (BrokenProcessPool, OSError):
+                broken = True
+                futures = [None] * len(cold_groups)
+            for indexes, future in zip(cold_groups, futures):
+                group_results = None
+                if future is not None:
+                    timeout = (
+                        None
+                        if deadline is None
+                        else deadline * len(indexes) * 2 + POOL_TIMEOUT_GRACE
+                    )
+                    try:
+                        group_results = future.result(timeout=timeout)
+                    # FuturesTimeout must be caught before OSError: on
+                    # Python >= 3.11 it *is* the builtin TimeoutError, an
+                    # OSError subclass.
+                    except FuturesTimeout:
+                        # The worker ignored its own deadline: it is
+                        # wedged, and its pool slot is gone.
+                        timed_out = True
+                    except (BrokenProcessPool, OSError):
+                        broken = True
+                    except Exception:
+                        pass  # the worker raised: decide in-parent
                 if group_results is None:
                     fallback_groups += 1
-                    group_results = [
-                        self._checked(q1, q2, bound, anytime, budget=budget)
-                        for q1, q2, bound in (prepared[i] for i in indexes)
-                    ]
-                for slot, result in zip(indexes, group_results):
-                    results[slot] = result
-        except (BrokenProcessPool, OSError):
-            if pool is not None:
-                # Hand the broken executor back for replacement; the warm
-                # pool itself stays open for the next batch.
-                pool.recycle(reason="broken")
-            else:
-                executor.shutdown(wait=False, cancel_futures=True)
-            return None
+                    self._check_group(prepared, indexes, anytime, budget, results)
+                else:
+                    worker_pairs += len(indexes)
+                    for slot, result in zip(indexes, group_results):
+                        results[slot] = result
         finally:
             if pool is not None:
                 # Never close a warm pool at batch end — that is the whole
-                # point.  A wedged executor is recycled so the next batch
-                # starts from fresh workers.
-                if timed_out:
-                    pool.recycle(reason="wedged")
+                # point.  A broken or wedged executor is recycled so the
+                # next batch starts from fresh workers.
+                if broken or timed_out:
+                    pool.recycle(reason="broken" if broken else "wedged")
             else:
                 # A wedged worker would make the ordinary shutdown wait
                 # forever; abandon it and let the interpreter reap the pool.
-                executor.shutdown(wait=not timed_out, cancel_futures=True)
+                executor.shutdown(wait=not (broken or timed_out), cancel_futures=True)
         if metrics is not None:
             metrics.counter("containment.parallel_groups").inc(len(cold_groups))
-            metrics.counter("containment.checks").inc(len(prepared))
-            if retries:
-                metrics.counter("containment.pool_retries").inc(retries)
+            # In-parent decisions counted themselves; worker ones did not.
+            metrics.counter("containment.checks").inc(worker_pairs)
             if fallback_groups:
                 metrics.counter("containment.pool_fallback_groups").inc(
                     fallback_groups
                 )
-        return results
 
     # -- helpers -------------------------------------------------------------
 
@@ -829,347 +875,28 @@ class ContainmentChecker:
                 f"{q1.name}/{q1.arity} vs {q2.name}/{q2.arity}"
             )
 
+    @staticmethod
     def _failure_result(
-        self,
         q1: ConjunctiveQuery,
         q2: ConjunctiveQuery,
         bound: int,
-        chase_result: ChaseResult,
+        run: ChaseRun,
         outcome: str,
         start: float,
         shared_chase_seconds: float,
-        *,
-        explain: bool,
     ) -> ContainmentResult:
-        result = ContainmentResult(
+        """A failed chase: no database satisfies ``q1``, so it is contained."""
+        return ContainmentResult(
             q1=q1,
             q2=q2,
             contained=True,
             reason=ContainmentReason.CHASE_FAILURE,
-            chase_result=chase_result,
+            chase_result=run.result(),
             level_bound=bound,
             elapsed_seconds=time.perf_counter() - start,
             chase_outcome=outcome,
             shared_chase_seconds=shared_chase_seconds,
         )
-        if explain:
-            result.explain_data()
-        return result
-
-    # -- the anytime schedule -------------------------------------------------
-
-    def _decide_anytime(
-        self,
-        q1: ConjunctiveQuery,
-        q2: ConjunctiveQuery,
-        bound: int,
-        start: float,
-        *,
-        explain: bool = False,
-        governor: Optional[Governor] = None,
-    ) -> ContainmentResult:
-        """Interleave chase extension with delta-restricted witness search.
-
-        The loop invariant after probing level ``k``: every embedding of
-        ``body(q2)`` into the current level-``k`` prefix satisfying the
-        head condition has been explored.  Levels already materialised by
-        a cached run contribute their per-level atom sets as deltas;
-        freshly chased levels contribute their
-        :attr:`~repro.chase.engine.ChaseRun.segment_deltas` (which also
-        carry EGD-rewritten lower-level conjuncts).  A segment that
-        rewrote the chased head invalidates earlier seeds, so that probe
-        falls back to one full search over the current prefix.
-
-        Probe levels follow :data:`ANYTIME_EXACT_WINDOW` /
-        geometric-stride growth: witnesses live at the first few levels
-        (the locality story of Lemmas 5 and 9), so those are probed one
-        by one, while the long refutation tail to the Theorem-12 bound is
-        covered in O(log bound) probes.  Each probe consumes the delta
-        accumulated since the previous one; a probe whose delta is a bulk
-        share of the prefix (:data:`ANYTIME_DELTA_MAX_SHARE`) runs a
-        plain full search instead, which is cheaper there than the sum of
-        the delta's anchored restrictions.
-
-        The whole probe loop runs inside a :meth:`ChaseStore.session` for
-        ``q1``'s canonical key: concurrent same-key checks coalesce onto
-        one chase extension (the waiter resumes against the materialised
-        prefix) and the run cannot be evicted mid-decision.
-        """
-        with self.store.session(q1, bound) as (run, outcome):
-            return self._decide_anytime_locked(
-                q1, q2, bound, start, run, outcome,
-                explain=explain, governor=governor,
-            )
-
-    def _decide_anytime_locked(
-        self,
-        q1: ConjunctiveQuery,
-        q2: ConjunctiveQuery,
-        bound: int,
-        start: float,
-        run,
-        outcome: str,
-        *,
-        explain: bool = False,
-        governor: Optional[Governor] = None,
-    ) -> ContainmentResult:
-        """The anytime probe loop proper — callers hold ``q1``'s session."""
-        metrics = self.obs.metrics
-        tracer = self.obs.tracer
-        if metrics is not None:
-            metrics.counter("containment.checks").inc()
-        chase_before = run.elapsed_seconds
-        search_stats = self._make_search_stats(tracer, metrics)
-        witness = None
-        witness_level: Optional[int] = None
-        first_search = True
-        level = 0
-        prev_level = -1
-        stride = 1
-        while True:
-            if governor is not None:
-                governor.poll("containment.probe", facts=len(run.instance))
-            delta: Optional[list[Atom]]  # None = full search required
-            if run.failed:
-                return self._failure_result(
-                    q1,
-                    q2,
-                    bound,
-                    run.result(),
-                    outcome,
-                    start,
-                    run.elapsed_seconds - chase_before,
-                    explain=explain,
-                )
-            if run.covers(level):
-                # Already materialised (cached or saturated): the levels
-                # since the previous probe are the delta.
-                delta = [
-                    atom
-                    for lvl in range(prev_level + 1, level + 1)
-                    for atom in run.instance.atoms_at_level(lvl)
-                ]
-            else:
-                segments_before = len(run.segment_deltas)
-                run.extend_to(level, governor=governor)
-                if run.failed:
-                    return self._failure_result(
-                        q1,
-                        q2,
-                        bound,
-                        run.result(),
-                        outcome,
-                        start,
-                        run.elapsed_seconds - chase_before,
-                        explain=explain,
-                    )
-                if any(run.segment_head_rewrites[segments_before:]):
-                    delta = None
-                else:
-                    delta = [
-                        atom
-                        for segment in run.segment_deltas[segments_before:]
-                        for atom in segment
-                    ]
-            instance = run.instance
-            prefix = (
-                instance.up_to_level(level)
-                if instance.max_level() > level
-                else instance.index
-            )
-            head = instance.head
-            bulk_delta = (
-                delta is not None
-                and len(delta) * ANYTIME_DELTA_MAX_SHARE > len(instance)
-            )
-            if first_search or delta is None or bulk_delta:
-                first_search = False
-                with tracer.span(
-                    "hom.search", source=q2.name, target=q1.name, level=level
-                ) as span:
-                    witness = find_homomorphism(
-                        q2,
-                        prefix,
-                        head_target=head,
-                        reorder=self.reorder_join,
-                        stats=search_stats,
-                        governor=governor,
-                        kernel=self.kernel,
-                    )
-                    if tracer.enabled and search_stats is not None:
-                        span.set(found=witness is not None, delta=False)
-                if metrics is not None:
-                    metrics.counter("hom.searches").inc()
-            elif delta:
-                with tracer.span(
-                    "hom.search", source=q2.name, target=q1.name, level=level
-                ) as span:
-                    witness = find_homomorphism_delta(
-                        q2,
-                        prefix,
-                        delta,
-                        head_target=head,
-                        reorder=self.reorder_join,
-                        stats=search_stats,
-                        governor=governor,
-                        kernel=self.kernel,
-                    )
-                    if tracer.enabled and search_stats is not None:
-                        span.set(
-                            found=witness is not None,
-                            delta=True,
-                            delta_size=len(delta),
-                        )
-                if metrics is not None:
-                    metrics.counter("hom.searches").inc()
-                    metrics.counter("hom.delta_searches").inc()
-            # An empty delta adds no embeddings: skip the search entirely.
-            if witness is not None:
-                witness_level = level
-                break
-            if level >= bound:
-                break
-            if (run.saturated or run.covers(bound)) and level >= instance.max_level():
-                # Nothing above this level exists or ever will: the
-                # remaining bound levels are vacuously searched.
-                break
-            prev_level = level
-            if level + 1 >= ANYTIME_EXACT_WINDOW:
-                stride *= ANYTIME_STRIDE_FACTOR
-            level = min(level + stride, bound)
-        if metrics is not None and search_stats is not None:
-            metrics.counter("hom.nodes_expanded").inc(search_stats.nodes)
-            metrics.counter("hom.backtracks").inc(search_stats.backtracks)
-        self._publish_kernel_stats(search_stats, metrics)
-        chase_result = run.result()
-        shared_chase = run.elapsed_seconds - chase_before
-        elapsed = time.perf_counter() - start
-        if witness is not None:
-            if metrics is not None and witness_level is not None and witness_level < bound:
-                metrics.counter("containment.early_exit").inc()
-            result = ContainmentResult(
-                q1=q1,
-                q2=q2,
-                contained=True,
-                reason=ContainmentReason.HOMOMORPHISM,
-                witness=witness,
-                chase_result=chase_result,
-                level_bound=bound,
-                elapsed_seconds=elapsed,
-                chase_outcome=outcome,
-                witness_level=witness_level,
-                levels_chased=level,
-                shared_chase_seconds=shared_chase,
-            )
-        else:
-            result = ContainmentResult(
-                q1=q1,
-                q2=q2,
-                contained=False,
-                reason=ContainmentReason.NO_HOMOMORPHISM,
-                chase_result=chase_result,
-                level_bound=bound,
-                elapsed_seconds=elapsed,
-                chase_outcome=outcome,
-                levels_chased=level,
-                shared_chase_seconds=shared_chase,
-            )
-        if explain:
-            result.explain_data()
-        return result
-
-    # -- the monolithic schedule ----------------------------------------------
-
-    def _decide(
-        self,
-        q1: ConjunctiveQuery,
-        q2: ConjunctiveQuery,
-        bound: int,
-        chase_result: ChaseResult,
-        outcome: str,
-        start: float,
-        *,
-        shared_chase_seconds: float = 0.0,
-        explain: bool = False,
-        governor: Optional[Governor] = None,
-    ) -> ContainmentResult:
-        metrics = self.obs.metrics
-        if metrics is not None:
-            metrics.counter("containment.checks").inc()
-        if chase_result.failed:
-            return self._failure_result(
-                q1,
-                q2,
-                bound,
-                chase_result,
-                outcome,
-                start,
-                shared_chase_seconds,
-                explain=explain,
-            )
-        assert chase_result.instance is not None
-        # The chase may have been produced under a larger cached bound;
-        # restrict the search to the first `bound` levels regardless.  The
-        # restriction is a zero-copy level view of the shared instance.
-        if chase_result.level_reached > bound:
-            prefix = chase_result.instance.up_to_level(bound)
-        else:
-            prefix = chase_result.instance.index
-        tracer = self.obs.tracer
-        search_stats = self._make_search_stats(tracer, metrics)
-        with tracer.span("hom.search", source=q2.name, target=q1.name) as span:
-            witness = find_homomorphism(
-                q2,
-                prefix,
-                head_target=chase_result.head,
-                reorder=self.reorder_join,
-                stats=search_stats,
-                governor=governor,
-                kernel=self.kernel,
-            )
-            if tracer.enabled and search_stats is not None:
-                span.set(
-                    found=witness is not None,
-                    nodes=search_stats.nodes,
-                    backtracks=search_stats.backtracks,
-                )
-        if metrics is not None and search_stats is not None:
-            metrics.counter("hom.searches").inc()
-            metrics.counter("hom.nodes_expanded").inc(search_stats.nodes)
-            metrics.counter("hom.backtracks").inc(search_stats.backtracks)
-        self._publish_kernel_stats(search_stats, metrics)
-        elapsed = time.perf_counter() - start
-        levels_examined = min(bound, chase_result.level_reached)
-        if witness is not None:
-            result = ContainmentResult(
-                q1=q1,
-                q2=q2,
-                contained=True,
-                reason=ContainmentReason.HOMOMORPHISM,
-                witness=witness,
-                chase_result=chase_result,
-                level_bound=bound,
-                elapsed_seconds=elapsed,
-                chase_outcome=outcome,
-                levels_chased=levels_examined,
-                shared_chase_seconds=shared_chase_seconds,
-            )
-        else:
-            result = ContainmentResult(
-                q1=q1,
-                q2=q2,
-                contained=False,
-                reason=ContainmentReason.NO_HOMOMORPHISM,
-                chase_result=chase_result,
-                level_bound=bound,
-                elapsed_seconds=elapsed,
-                chase_outcome=outcome,
-                levels_chased=levels_examined,
-                shared_chase_seconds=shared_chase_seconds,
-            )
-        if explain:
-            result.explain_data()
-        return result
 
 
 def is_contained(

@@ -72,7 +72,7 @@ class ExecutionInterrupted(ReproError):
     :class:`~repro.governance.ExecutionBudget` resource is exhausted or a
     :class:`~repro.governance.CancelScope` is cancelled, and by the chase
     engine's legacy ``max_steps`` valve.  Interruption is *not* a verdict:
-    the :class:`~repro.containment.ContainmentChecker` converts it into a
+    the :class:`~repro.containment.bounded.ContainmentChecker` converts it into a
     three-valued ``UNKNOWN`` result, and an interrupted
     :class:`~repro.chase.engine.ChaseRun` stays resumable — call
     ``extend_to`` again (with a fresh budget) to continue where it

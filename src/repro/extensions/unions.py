@@ -119,7 +119,7 @@ def ucq_contained(
 
     Accepts plain :class:`ConjunctiveQuery` objects on either side (they
     are treated as singleton unions), so this is a strict generalisation
-    of :func:`repro.containment.is_contained`.
+    of :func:`repro.containment.bounded.is_contained`.
     """
     u1 = UnionQuery.wrap(u1)
     u2 = UnionQuery.wrap(u2)

@@ -54,7 +54,7 @@ from ..api import Engine
 from ..core.errors import AdmissionRejected, ReproError
 from ..governance import ExecutionBudget
 from ..obs import OBS_OFF, Observability
-from ..store import StoreConfig, resolve_store_config
+from ..store import StoreConfig
 from .protocol import (
     OPS,
     PROTOCOL_VERSION,
@@ -148,9 +148,6 @@ class ContainmentServer:
     max_active, max_pending, max_workers, kernel, obs:
         Per-shard :class:`~repro.api.Engine` configuration (each shard
         gets its own store and admission queue of this size).
-    store_capacity, result_cache:
-        **Deprecated** — pre-``StoreConfig`` forms of the two cache
-        sizes; still honoured with a ``DeprecationWarning``.
     """
 
     def __init__(
@@ -163,8 +160,6 @@ class ContainmentServer:
         max_pending: int = 64,
         max_workers: Optional[int] = None,
         store_config: Optional[StoreConfig] = None,
-        store_capacity: Optional[int] = None,
-        result_cache: Optional[int] = None,
         kernel: str = "auto",
         obs: Optional[Observability] = None,
     ):
@@ -173,12 +168,7 @@ class ContainmentServer:
         self.obs = obs if obs is not None else OBS_OFF
         self.router = ShardRouter(shards)
         self.tenants = tenants if tenants is not None else TenantRegistry()
-        self.store_config = resolve_store_config(
-            store_config,
-            store_capacity=store_capacity,
-            result_cache=result_cache,
-            owner="ContainmentServer",
-        )
+        self.store_config = store_config if store_config is not None else StoreConfig()
         self.engines = [
             Engine(
                 budget=budget,

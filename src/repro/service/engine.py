@@ -70,7 +70,7 @@ from ..dependencies import SIGMA_FL
 from ..dependencies.dependency import Dependency
 from ..governance import CancelScope, ExecutionBudget
 from ..obs import OBS_OFF, Observability
-from ..store import StoreConfig, resolve_store_config
+from ..store import StoreConfig
 from .pool import WorkerPool
 from .queue import AdmissionQueue
 
@@ -125,10 +125,6 @@ class ContainmentService:
         decided-verdict cache size.  Built only when *store* is ``None``;
         the serve layer shards share one ``path`` so a restarted fleet
         comes back warm.
-    result_cache, store_capacity:
-        **Deprecated** scattered forms of *store_config* — still honoured
-        (they override the config's fields) but each emits a
-        ``DeprecationWarning``.  See ``docs/api.md`` for the migration.
     obs:
         Observability sink shared by the checker, store, pool and queue.
     kernel:
@@ -151,18 +147,11 @@ class ContainmentService:
         max_pending: int = 64,
         max_workers: Optional[int] = None,
         store_config: Optional[StoreConfig] = None,
-        result_cache: Optional[int] = None,
-        store_capacity: Optional[int] = None,
         obs: Optional[Observability] = None,
         kernel: str = "auto",
     ):
         self.obs = obs if obs is not None else OBS_OFF
-        config = resolve_store_config(
-            store_config,
-            store_capacity=store_capacity,
-            result_cache=result_cache,
-            owner="ContainmentService",
-        )
+        config = store_config if store_config is not None else StoreConfig()
         self.store_config = config
         if store is None:
             store = ChaseStore.from_config(

@@ -15,9 +15,8 @@ paid worker spawn for each batch, and tore the pool down again.
 * **graceful close** — :meth:`close` drains the executor (or abandons it
   when ``wait=False``), after which the pool refuses new submissions.
 
-The module is also the canonical home of the pool tuning constants and
-the picklable batch worker that :mod:`repro.containment.bounded` used to
-define; the old names remain importable there for compatibility.
+The module is also the home of the pool tuning constants and the
+picklable batch workers that :mod:`repro.containment.bounded` dispatches.
 """
 
 from __future__ import annotations
@@ -34,18 +33,9 @@ __all__ = [
     "PoolStats",
     "check_group_worker",
     "check_group_attached",
-    "POOL_MAX_RETRIES",
-    "POOL_RETRY_BACKOFF",
     "POOL_TIMEOUT_GRACE",
     "POOL_HEALTHCHECK_TIMEOUT",
 ]
-
-#: Per-group worker resubmissions in a parallel batch before the group
-#: falls back to in-parent sequential execution.
-POOL_MAX_RETRIES = 1
-
-#: Backoff before a pool retry, in seconds (scaled by the attempt count).
-POOL_RETRY_BACKOFF = 0.05
 
 #: Grace added to a worker's wall-clock allowance before the parent calls
 #: the worker wedged: process spawn and result pickling ride on top of

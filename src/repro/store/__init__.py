@@ -19,8 +19,7 @@ Layers above build on this module:
   resharded fleet comes back warm.
 
 :class:`StoreConfig` is the single configuration object threaded through
-``Engine``/``ContainmentService``/``ContainmentServer``/``flq`` in place of
-the old scattered ``store_capacity``/``result_cache`` kwargs.
+``Engine``/``ContainmentService``/``ContainmentServer``/``flq``.
 """
 
 from .codec import (
@@ -34,7 +33,7 @@ from .codec import (
     encode_terms,
     key_digest,
 )
-from .config import SNAPSHOT_POLICIES, StoreConfig, resolve_store_config
+from .config import SNAPSHOT_POLICIES, StoreConfig
 from .snapshot import DB_FILENAME, RunSnapshot, SnapshotError, SnapshotStore
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "DB_FILENAME",
     "SNAPSHOT_POLICIES",
     "StoreConfig",
-    "resolve_store_config",
     "RunSnapshot",
     "SnapshotError",
     "SnapshotStore",

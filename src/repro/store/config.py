@@ -1,26 +1,18 @@
 """`StoreConfig` — one object configuring every storage tier.
 
-Before this module, storage knobs were scattered per layer: ``Engine`` took
-``store_capacity`` and ``result_cache``, ``ContainmentService`` took the
-same pair again, ``ContainmentServer`` forwarded them per shard, and the
-CLI re-spelled each as a flag.  :class:`StoreConfig` replaces the scatter
-with a single frozen value threaded through every layer, and adds the
+:class:`StoreConfig` is a single frozen value threaded through every layer
+(``Engine``, ``ContainmentService``, ``ContainmentServer`` and the CLI): the
+in-memory chase-store capacity, the decided-verdict cache size, and the
 persistent tier's knobs (snapshot path, write policy, read-only attach).
-
-The old kwargs keep working: :func:`resolve_store_config` folds them into a
-config while emitting :class:`DeprecationWarning` — the same
-deprecate-but-forward pattern :mod:`repro.containment` uses for its PEP 562
-import shims.  See docs/api.md for the migration table.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
-__all__ = ["SNAPSHOT_POLICIES", "StoreConfig", "resolve_store_config"]
+__all__ = ["SNAPSHOT_POLICIES", "StoreConfig"]
 
 #: Valid values of :attr:`StoreConfig.snapshot_policy`:
 #:
@@ -83,40 +75,3 @@ class StoreConfig:
     def with_overrides(self, **changes) -> "StoreConfig":
         """A copy with the given fields replaced (``dataclasses.replace``)."""
         return replace(self, **changes)
-
-
-def resolve_store_config(
-    config: Optional[StoreConfig] = None,
-    *,
-    store_capacity: Optional[int] = None,
-    result_cache: Optional[int] = None,
-    owner: str = "ContainmentService",
-    stacklevel: int = 3,
-) -> StoreConfig:
-    """Merge legacy per-layer kwargs into one :class:`StoreConfig`.
-
-    ``store_capacity``/``result_cache`` are the deprecated pre-`repro.store`
-    spellings; passing either emits a :class:`DeprecationWarning` naming the
-    owning class and folds the value into the returned config (legacy kwargs
-    win over the config's fields, matching what the old signatures did).
-    ``None`` means "not given" for both, so existing callers that never
-    touched the kwargs resolve to the plain defaults warning-free.
-    """
-    resolved = config if config is not None else StoreConfig()
-    if store_capacity is not None:
-        warnings.warn(
-            f"{owner}(store_capacity=...) is deprecated; pass "
-            "store_config=StoreConfig(capacity=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        resolved = replace(resolved, capacity=store_capacity)
-    if result_cache is not None:
-        warnings.warn(
-            f"{owner}(result_cache=...) is deprecated; pass "
-            "store_config=StoreConfig(result_cache=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        resolved = replace(resolved, result_cache=result_cache)
-    return resolved

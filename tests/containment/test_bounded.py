@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.containment import (
+from repro import (
     ContainmentChecker,
     ContainmentReason,
     contained_classic,

@@ -1,6 +1,6 @@
 """Unit tests for classic (Chandra–Merlin) containment."""
 
-from repro.containment import ContainmentReason, contained_classic
+from repro import ContainmentReason, contained_classic
 from repro.core.atoms import data, member, sub
 from repro.core.query import ConjunctiveQuery
 from repro.core.terms import Constant, Variable

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.containment import ContainmentChecker, is_contained, minimize_query
+from repro import ContainmentChecker, is_contained, minimize_query
 from repro.core.atoms import data, member, sub, type_
 from repro.core.query import ConjunctiveQuery
 from repro.core.terms import Variable
@@ -117,7 +117,7 @@ class TestMinimize:
         assert result.store_stats["misses"] > 0  # at least one fresh chase
 
     def test_shared_checker_stats_are_deltas(self):
-        from repro.containment import ContainmentChecker
+        from repro import ContainmentChecker
 
         checker = ContainmentChecker()
         q = ConjunctiveQuery("q", (O,), (member(O, C), sub(C, D), member(O, D)))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.containment import ContainmentChecker, is_contained
+from repro import ContainmentChecker, is_contained
 from repro.core.atoms import data, mandatory, member, sub, type_
 from repro.core.errors import QueryError
 from repro.core.query import ConjunctiveQuery

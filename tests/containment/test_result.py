@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.containment import (
+from repro import (
     ContainmentReason,
     ContainmentResult,
     contained_classic,

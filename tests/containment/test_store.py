@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.containment import ChaseStore, ContainmentChecker, StoreStats
+from repro import ChaseStore, ContainmentChecker, StoreStats
 from repro.containment.store import OUTCOME_EXTEND, OUTCOME_FULL, OUTCOME_HIT
 from repro.core.atoms import data, member, sub
 from repro.core.query import ConjunctiveQuery

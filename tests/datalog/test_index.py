@@ -269,16 +269,23 @@ class TestSnapshotSemantics:
             index.add(member(Constant(f"seed{i}"), Constant("c")))
         stop = threading.Event()
         errors = []
+        # Everyone starts together, so the readers iterate while the
+        # writer extends.  The writer stops after `writes` rounds or when
+        # the readers finish: unbounded growth made each copy ever larger.
+        started = threading.Barrier(5)
+        writes = 5_000
 
         def writer():
-            i = 0
-            while not stop.is_set():
+            started.wait()
+            for i in range(writes):
+                if stop.is_set():
+                    break
                 index.add(member(Constant(f"w{i}"), Constant("c")))
                 index.add(sub(Constant(f"w{i}"), Constant("top")))
-                i += 1
 
         def reader():
             try:
+                started.wait()
                 pattern = member(Variable("X"), Constant("c"))
                 for _ in range(200):
                     for atom in index.candidates(pattern):

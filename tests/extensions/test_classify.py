@@ -40,7 +40,7 @@ class TestAreEquivalent:
 
     def test_sigma_only_equivalence(self):
         """Equivalent only because rho_3 derives the redundant conjunct."""
-        from repro.containment import contained_classic
+        from repro import contained_classic
 
         assert are_equivalent(sub_members, sub_members_redundant)
         assert not contained_classic(sub_members, sub_members_redundant).contained

@@ -74,7 +74,7 @@ class TestUCQContainment:
         assert result.coverage["subclasses"][0] == "subclasses"
 
     def test_cq_on_both_sides_matches_plain_checker(self):
-        from repro.containment import is_contained
+        from repro import is_contained
 
         assert ucq_contained(sub_members, members).contained == bool(
             is_contained(sub_members, members)
@@ -99,7 +99,7 @@ class TestUCQContainment:
 
     def test_sigma_specific_union_containment(self):
         """Only rho_3 makes the sub_members disjunct collapse into members."""
-        from repro.containment import contained_classic
+        from repro import contained_classic
 
         assert not contained_classic(sub_members, members).contained
         assert ucq_contained(UnionQuery("u", (sub_members,)), members).contained

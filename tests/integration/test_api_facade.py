@@ -1,11 +1,11 @@
-"""The stable ``repro`` facade and its deprecation shims."""
+"""The stable ``repro`` facade, and imports that must not warn."""
 
 from __future__ import annotations
 
 import subprocess
 import sys
-import warnings
 from pathlib import Path
+from types import ModuleType
 
 import repro
 from repro.api import Engine
@@ -38,22 +38,16 @@ class TestTopLevelFacade:
 
 
 class TestDeprecationShims:
-    def test_containment_package_import_warns(self):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-W",
-                "error::DeprecationWarning",
-                "-c",
-                "from repro.containment import ContainmentChecker",
-            ],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": REPO_SRC},
-        )
-        assert proc.returncode != 0
-        assert "DeprecationWarning" in proc.stderr
-        assert "repro.api.Engine" in proc.stderr
+    def test_containment_package_defines_no_public_names(self):
+        import repro.containment as package
+
+        own = [
+            name
+            for name, value in vars(package).items()
+            if not name.startswith("_") and not isinstance(value, ModuleType)
+        ]
+        assert own == []
+        assert not hasattr(package, "ContainmentChecker")
 
     def test_submodule_imports_do_not_warn(self):
         proc = subprocess.run(
@@ -74,23 +68,6 @@ class TestDeprecationShims:
             env={"PYTHONPATH": REPO_SRC},
         )
         assert proc.returncode == 0, proc.stderr
-
-    def test_shim_returns_the_real_object(self):
-        import repro.containment as legacy
-        from repro.containment.bounded import ContainmentChecker
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            # Force shim resolution even if a previous test cached it.
-            legacy.__dict__.pop("ContainmentChecker", None)
-            assert legacy.ContainmentChecker is ContainmentChecker
-
-    def test_shim_dir_lists_public_names(self):
-        import repro.containment as legacy
-
-        listing = dir(legacy)
-        for name in ("ContainmentChecker", "ChaseStore", "ContainmentResult"):
-            assert name in listing
 
     def test_unknown_attribute_raises(self):
         import repro.containment as legacy

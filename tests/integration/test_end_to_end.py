@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.containment import ContainmentChecker, contained_classic
+from repro import ContainmentChecker, contained_classic
 from repro.flogic import KnowledgeBase, encode_rule, parse_program, parse_statement
 
 

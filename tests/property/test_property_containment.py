@@ -13,7 +13,7 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.containment import contained_classic, is_contained
+from repro import contained_classic, is_contained
 from repro.core.errors import ChaseBudgetExceeded
 from repro.flogic.kb import KnowledgeBase
 from repro.homomorphism.search import all_homomorphisms

@@ -5,7 +5,7 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.containment import is_contained, minimize_query
+from repro import is_contained, minimize_query
 from repro.core.errors import ChaseBudgetExceeded
 from repro.extensions import UnionQuery, are_equivalent, ucq_contained
 from repro.flogic.kb import KnowledgeBase

@@ -3,7 +3,7 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.containment import is_contained
+from repro import is_contained
 from repro.core.errors import ChaseBudgetExceeded
 from repro.workloads import OntologyParams, QueryGenerator, generate_ontology
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.containment import contained_classic, is_contained
+from repro import contained_classic, is_contained
 from repro.core.atoms import data, member, sub, type_
 from repro.core.errors import EncodingError
 from repro.core.terms import Constant, Variable

@@ -1,11 +1,11 @@
-"""Tests for StoreConfig and the legacy-kwarg resolution shim."""
+"""Tests for StoreConfig and the layers that take it."""
 
 import pytest
 
 from repro.api import Engine
 from repro.serve.server import ContainmentServer
 from repro.service.engine import ContainmentService
-from repro.store import SNAPSHOT_POLICIES, StoreConfig, resolve_store_config
+from repro.store import SNAPSHOT_POLICIES, StoreConfig
 
 
 class TestValidation:
@@ -49,43 +49,21 @@ class TestValidation:
         assert base.capacity == 128  # frozen original untouched
 
 
-class TestResolve:
-    def test_no_legacy_kwargs_no_warning(self, recwarn):
-        resolved = resolve_store_config(None)
-        assert resolved == StoreConfig()
-        resolved = resolve_store_config(StoreConfig(capacity=7))
-        assert resolved.capacity == 7
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_store_capacity_warns_and_wins(self):
-        with pytest.warns(DeprecationWarning, match="store_capacity"):
-            resolved = resolve_store_config(
-                StoreConfig(capacity=7), store_capacity=3
-            )
-        assert resolved.capacity == 3  # legacy kwarg wins, as the old API did
-
-    def test_result_cache_warns_and_wins(self):
-        with pytest.warns(DeprecationWarning, match="result_cache"):
-            resolved = resolve_store_config(
-                StoreConfig(result_cache=10), result_cache=2
-            )
-        assert resolved.result_cache == 2
-
-    def test_warning_names_owner(self):
-        with pytest.warns(DeprecationWarning, match="ContainmentServer"):
-            resolve_store_config(None, store_capacity=5, owner="ContainmentServer")
-
-
 class TestLayerShims:
-    """Every layer that took the scattered kwargs keeps accepting them."""
+    """Every layer takes its storage sizes from one StoreConfig."""
 
-    def test_engine_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="Engine"):
-            engine = Engine(store_capacity=5)
+    @pytest.mark.parametrize("kwarg", ["store_capacity", "result_cache"])
+    def test_scattered_kwargs_are_rejected(self, kwarg):
+        for layer in (Engine, ContainmentService, ContainmentServer):
+            with pytest.raises(TypeError, match=kwarg):
+                layer(**{kwarg: 5})
+
+    def test_default_config_when_none_given(self):
+        service = ContainmentService()
         try:
-            assert engine.store_config.capacity == 5
+            assert service.store_config == StoreConfig()
         finally:
-            engine.close()
+            service.close()
 
     def test_engine_store_config_is_silent(self, recwarn):
         engine = Engine(store_config=StoreConfig(capacity=5, result_cache=8))
@@ -95,22 +73,6 @@ class TestLayerShims:
         finally:
             engine.close()
         assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_service_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="ContainmentService"):
-            service = ContainmentService(result_cache=16)
-        try:
-            assert service.store_config.result_cache == 16
-        finally:
-            service.close()
-
-    def test_server_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="ContainmentServer"):
-            server = ContainmentServer(shards=1, store_capacity=4)
-        try:
-            assert server.store_config.capacity == 4
-        finally:
-            server.close()
 
     def test_server_shards_share_config(self, tmp_path):
         config = StoreConfig(capacity=6, path=tmp_path / "chase.db")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.analysis.cycles import has_mandatory_cycle
-from repro.containment import contained_classic, is_contained
+from repro import contained_classic, is_contained
 from repro.core.atoms import P_FL_ARITIES
 from repro.flogic.kb import KnowledgeBase
 from repro.flogic.parser import parse_program
